@@ -74,14 +74,11 @@ fn bench_cluster_size_ablation() {
 fn bench_liveness_oracle_fast_path() {
     let mut group = tinybench::group("liveness_oracle");
     group.sample_size(10);
-    // Watchdog off: its shutdown poll (~100 ms) would dwarf the
-    // millisecond-scale runs and hide the fast path we are measuring.
     let config = |on: bool| {
         CampaignConfig::new(Workload::Stringsearch, HwComponent::L2, 1)
             .runs(32)
             .seed(17)
             .threads(1)
-            .run_wall_budget(None)
             .use_liveness_oracle(on)
     };
     for (name, on) in [("oracle_off", false), ("oracle_on", true)] {

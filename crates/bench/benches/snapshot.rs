@@ -70,13 +70,11 @@ fn bench_fast_forward_vs_prefix() {
 fn bench_campaign_off_vs_on() {
     let mut group = tinybench::group("snapshot_campaign");
     group.sample_size(10);
-    // Watchdog off: its shutdown poll (~100 ms) would floor the fast path.
     let config = |component: HwComponent, on: bool| {
         CampaignConfig::new(Workload::Stringsearch, component, 2)
             .runs(32)
             .seed(23)
             .threads(1)
-            .run_wall_budget(None)
             .use_snapshots(on)
     };
     for component in [HwComponent::L2, HwComponent::RegFile] {

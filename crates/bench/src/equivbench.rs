@@ -251,11 +251,9 @@ impl Experiments {
                 eprintln!("  equivbench {c}/{workload}: partition + stratified campaign");
             }
             let t0 = Instant::now();
-            let plan = ExhaustivePlan::try_new(
-                self.equiv_config(c, workload).run_wall_budget(None),
-                self.exhaustive_spec(),
-            )
-            .expect("single-bit data-array stratified campaign must compile");
+            let plan =
+                ExhaustivePlan::try_new(self.equiv_config(c, workload), self.exhaustive_spec())
+                    .expect("single-bit data-array stratified campaign must compile");
             let cov = plan.coverage();
             let r = plan
                 .run_stratified(spec, None)

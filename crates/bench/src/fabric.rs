@@ -62,7 +62,8 @@ use mbu_workloads::Workload;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -645,13 +646,9 @@ pub fn spec_experiments(spec: &crate::protocol::ExpSpec, workload: Workload) -> 
     }
 }
 
-/// Shared state between a worker's control loop and its heartbeat thread.
-struct Pulse {
-    /// The in-flight unit: (unit id, runs-started counter).
-    current: Mutex<Option<(u64, Arc<AtomicUsize>)>>,
-    /// Set when the control loop exits.
-    stop: AtomicBool,
-}
+/// The in-flight unit a worker's heartbeat reports: (unit id,
+/// runs-started counter), shared with the control loop.
+type Pulse = Mutex<Option<(u64, Arc<AtomicUsize>)>>;
 
 type ArtifactKey = (Workload, bool, Option<u64>, Option<u64>);
 type ArtifactCache = BTreeMap<ArtifactKey, Result<Arc<GoldenArtifacts>, CampaignError>>;
@@ -895,25 +892,20 @@ where
             }
         }
     }
-    let pulse = Arc::new(Pulse {
-        current: Mutex::new(None),
-        stop: AtomicBool::new(false),
-    });
+    let pulse: Arc<Pulse> = Arc::new(Mutex::new(None));
+    // Dropping `stop` when the control loop exits wakes the heartbeat at
+    // once instead of after its current interval.
+    let (stop, stopped) = mpsc::channel::<()>();
     let hb_handle = {
         let pulse = Arc::clone(&pulse);
         let out = Arc::clone(&out);
         let chaos = Arc::clone(&chaos);
         std::thread::spawn(move || {
-            while !pulse.stop.load(Ordering::SeqCst) {
-                std::thread::sleep(heartbeat);
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(heartbeat) {
                 if chaos.heartbeat_muted() {
                     continue;
                 }
-                let snapshot = pulse
-                    .current
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone();
+                let snapshot = pulse.lock().unwrap_or_else(|e| e.into_inner()).clone();
                 if let Some((unit_id, progress)) = snapshot {
                     let msg = ToSupervisor::Heartbeat {
                         unit_id,
@@ -954,7 +946,7 @@ where
                 }
                 let e = spec_experiments(&exp, unit.workload);
                 progress.store(0, Ordering::Relaxed);
-                *pulse.current.lock().unwrap_or_else(|e| e.into_inner()) =
+                *pulse.lock().unwrap_or_else(|e| e.into_inner()) =
                     Some((unit_id, Arc::clone(&progress)));
                 let outcome = run_unit(
                     &e,
@@ -965,7 +957,7 @@ where
                     &chaos,
                     &progress,
                 );
-                *pulse.current.lock().unwrap_or_else(|e| e.into_inner()) = None;
+                *pulse.lock().unwrap_or_else(|e| e.into_inner()) = None;
                 match outcome {
                     Ok((row, anomalies)) => {
                         // Durability before acknowledgement: the row is in
@@ -1005,7 +997,7 @@ where
             }
         }
     };
-    pulse.stop.store(true, Ordering::SeqCst);
+    drop(stop);
     let _ = hb_handle.join();
     outcome
 }

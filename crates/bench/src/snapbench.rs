@@ -11,19 +11,18 @@
 //! up: a whole components × cardinalities sweep over one workload, timed
 //! with the sweep-wide golden-artifact cache off (every campaign pays its
 //! own golden + snapshot-recording runs) vs on (one shared
-//! [`GoldenArtifacts`] build), with every [`CampaignResult`] compared for
-//! bit-identity. The feature-gated `benches/snapshot.rs` re-measures the
-//! campaign pairs under the in-tree `tinybench` harness; this module keeps
+//! [`mbu_gefin::GoldenArtifacts`] build), with every
+//! [`mbu_gefin::campaign::CampaignResult`] compared for bit-identity. The
+//! feature-gated `benches/snapshot.rs` re-measures the campaign pairs
+//! under the in-tree `tinybench` harness; this module keeps
 //! the measurements available to the plain `repro` binary (built without
 //! the `bench-harness` feature) and renders the machine-readable JSON.
 
 use crate::experiments::Experiments;
-use crate::store::component_slug;
+use crate::store::{component_slug, ResultStore};
 use mbu_cpu::HwComponent;
-use mbu_gefin::campaign::{Campaign, CampaignResult};
-use mbu_gefin::integrity::golden_fingerprint;
+use mbu_gefin::campaign::Campaign;
 use mbu_gefin::report::{factor, Table};
-use mbu_gefin::GoldenArtifacts;
 use mbu_workloads::Workload;
 use std::time::Instant;
 
@@ -255,12 +254,7 @@ impl Experiments {
             if self.verbose {
                 eprintln!("  snapbench {c}/{workload}: plain path");
             }
-            // Watchdog off: its shutdown poll (~100 ms) would floor the
-            // fast path's wall-clock and understate the speedup; the cycle
-            // limit (4 × T_ff) still bounds every run.
-            let base = self
-                .campaign_config(c, workload, faults)
-                .run_wall_budget(None);
+            let base = self.campaign_config(c, workload, faults);
             let t0 = Instant::now();
             let off = Campaign::new(base.clone().use_snapshots(false)).run();
             let off_secs = t0.elapsed().as_secs_f64();
@@ -293,12 +287,8 @@ impl Experiments {
     /// Benchmarks a components × 1/2/3-bit sweep over one workload with the
     /// golden-artifact cache off vs on (snapshots enabled on both sides),
     /// cross-checking that every campaign result and fingerprint is
-    /// bit-identical.
-    ///
-    /// The loop replicates [`Experiments::run_sweep`]'s execution path
-    /// inline rather than calling it: the sweep's default per-run wall
-    /// budget arms a watchdog whose shutdown poll would add constant
-    /// latency to both sides and dilute the measured speedup.
+    /// bit-identical. Both sides are [`Experiments::run_sweep`] without a
+    /// checkpoint file.
     ///
     /// Campaigns are capped at [`SWEEPBENCH_RUNS`] injections: the cache
     /// removes a *fixed* per-campaign cost (golden + snapshot-recording
@@ -307,64 +297,55 @@ impl Experiments {
     /// early stopping, quick scans). At paper-scale run counts the same
     /// absolute savings still apply but vanish into injection time; the
     /// emitted JSON records the run count used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a campaign fails.
     pub fn sweepbench(&self, workload: Workload, components: &[HwComponent]) -> SweepbenchReport {
-        let mut bench = self.clone();
-        bench.use_snapshots = true;
-        bench.runs = bench.runs.min(SWEEPBENCH_RUNS);
+        let bench = Experiments {
+            workloads: vec![workload],
+            max_cardinality: 3,
+            use_snapshots: true,
+            runs: self.runs.min(SWEEPBENCH_RUNS),
+            deadline: None,
+            ..self.clone()
+        };
         // Cache off: every campaign pays its own golden + recording run,
-        // plus the sweep's one per-workload fingerprint golden run.
-        if bench.verbose {
-            eprintln!("  sweepbench {workload}: golden cache off");
-        }
-        let t0 = Instant::now();
-        let mut off_results: Vec<CampaignResult> = Vec::new();
-        for &c in components {
-            for faults in 1..=3 {
-                let cfg = bench
-                    .campaign_config(c, workload, faults)
-                    .run_wall_budget(None);
-                off_results.push(Campaign::new(cfg).run());
+        // plus the sweep's one per-workload fingerprint golden run. Cache
+        // on: one shared artifact build covers the golden run, the snapshot
+        // store and the fingerprint for every campaign.
+        let sweep = |use_golden_cache: bool| {
+            if bench.verbose {
+                let state = if use_golden_cache { "on" } else { "off" };
+                eprintln!("  sweepbench {workload}: golden cache {state}");
             }
-        }
-        let off_fp = golden_fingerprint(bench.core, workload).ok();
-        let off_secs = t0.elapsed().as_secs_f64();
-        // Cache on: one shared artifact build covers the golden run, the
-        // snapshot store and the fingerprint for every campaign.
-        if bench.verbose {
-            eprintln!("  sweepbench {workload}: golden cache on");
-        }
-        let t1 = Instant::now();
-        let artifacts: GoldenArtifacts = Campaign::new(
-            bench
-                .campaign_config(components[0], workload, 1)
-                .run_wall_budget(None),
-        )
-        .build_artifacts()
-        .expect("fault-free run must exit cleanly");
-        let mut on_results: Vec<CampaignResult> = Vec::new();
-        for &c in components {
-            for faults in 1..=3 {
-                let cfg = bench
-                    .campaign_config(c, workload, faults)
-                    .run_wall_budget(None);
-                on_results.push(
-                    Campaign::new(cfg)
-                        .try_run_with_artifacts(Some(&artifacts))
-                        .expect("artifacts were built for this sweep"),
-                );
-            }
-        }
-        let on_fp = Some(bench.artifact_fingerprint(&artifacts));
-        let on_secs = t1.elapsed().as_secs_f64();
+            let e = Experiments {
+                use_golden_cache,
+                ..bench.clone()
+            };
+            let mut store = ResultStore::new();
+            let t = Instant::now();
+            let report = e
+                .run_sweep(components, &mut store, None)
+                .expect("a sweep without a checkpoint file does no I/O");
+            assert!(
+                report.failed.is_empty(),
+                "campaigns failed: {:?}",
+                report.failed
+            );
+            (store, t.elapsed().as_secs_f64())
+        };
+        let (off, off_secs) = sweep(false);
+        let (on, on_secs) = sweep(true);
         SweepbenchReport {
             workload,
             components: components.to_vec(),
             runs: bench.runs,
             seed: bench.seed,
-            campaigns: off_results.len(),
+            campaigns: off.len(),
             off_secs,
             on_secs,
-            identical: off_results == on_results && off_fp == on_fp,
+            identical: off.iter().eq(on.iter()) && off.to_csv() == on.to_csv(),
         }
     }
 }

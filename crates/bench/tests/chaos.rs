@@ -19,8 +19,10 @@ use mbu_bench::{
 use mbu_cpu::HwComponent;
 use mbu_gefin::integrity::GoldenFingerprint;
 use mbu_workloads::Workload;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::tmpdir;
 
 const COMPONENT: HwComponent = HwComponent::RegFile;
 const WORKLOAD: Workload = Workload::Stringsearch;
@@ -37,12 +39,6 @@ fn tiny() -> Experiments {
         workloads: vec![WORKLOAD],
         ..Experiments::default()
     }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-chaos-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// The unfaulted reference: (in-memory store CSV, checkpoint file text).

@@ -21,18 +21,14 @@
 //! diffing a 3-worker chaos-kill sweep against the single-process
 //! reference it already computes.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
+
+mod common;
+use common::tmpdir;
 
 const WORKLOAD: &str = "stringsearch";
 const COMPONENT: &str = "dtlb";
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-equiv-fab-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Runs `repro exhaustive` (distributed when `workers > 0`) and returns
 /// (success, stderr, merged exhaustive.csv bytes if written).

@@ -14,19 +14,15 @@
 use mbu_bench::Experiments;
 use mbu_cpu::HwComponent;
 use mbu_workloads::Workload;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::tmpdir;
+
 const RUNS: usize = 6;
 const WORKLOAD: Workload = Workload::Qsort;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-fabric-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// The single-process reference: the same campaigns run in-process, saved
 /// through the same store, read back as bytes. Computed once; campaigns

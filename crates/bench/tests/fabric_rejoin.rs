@@ -14,16 +14,12 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+mod common;
+use common::tmpdir;
+
 const RUNS: usize = 6;
 const WORKLOAD: Workload = Workload::Qsort;
 const COMPONENTS: [HwComponent; 2] = [HwComponent::L1D, HwComponent::RegFile];
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-rejoin-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn experiments() -> Experiments {
     Experiments {

@@ -12,6 +12,8 @@ use mbu_gefin::error::CampaignError;
 use mbu_gefin::SnapshotSpec;
 use mbu_workloads::Workload;
 
+mod common;
+
 const COMPONENTS: [HwComponent; 3] = [HwComponent::RegFile, HwComponent::L2, HwComponent::DTlb];
 
 fn sweeper(use_golden_cache: bool, threads: usize) -> Experiments {
@@ -32,8 +34,7 @@ fn sweeper(use_golden_cache: bool, threads: usize) -> Experiments {
 /// in the sweep-level bypass anomaly.
 #[test]
 fn cached_sweep_is_bit_identical_to_bypass_sweep() {
-    let dir = std::env::temp_dir().join(format!("mbu-gcache-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = common::tmpdir("gcache");
     let on_path = dir.join("cache_on.csv");
     let off_path = dir.join("cache_off.csv");
 

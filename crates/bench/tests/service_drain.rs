@@ -13,19 +13,15 @@ use mbu_cpu::HwComponent;
 use mbu_serve::http;
 use mbu_workloads::Workload;
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-const WORKLOAD: Workload = Workload::Qsort;
+mod common;
+use common::tmpdir;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-drain-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+const WORKLOAD: Workload = Workload::Qsort;
 
 /// Single-process reference bytes for `components` at `runs` injections.
 fn reference_for(components: &[HwComponent], runs: usize) -> String {

@@ -13,20 +13,16 @@ use mbu_cpu::HwComponent;
 use mbu_serve::http;
 use mbu_workloads::Workload;
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use mbu_bench::Json;
 
-const WORKLOAD: Workload = Workload::Qsort;
+mod common;
+use common::tmpdir;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbu-serve-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+const WORKLOAD: Workload = Workload::Qsort;
 
 /// Single-process reference bytes for `components` at `runs` injections.
 fn reference_for(components: &[HwComponent], runs: usize) -> String {

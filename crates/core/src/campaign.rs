@@ -27,10 +27,11 @@
 //!   [`FaultEffect::Assert`] and the campaign keeps going. The panic payload
 //!   and the run's seed are preserved in the campaign's [`AnomalyLog`] so
 //!   the run can be replayed under a debugger.
-//! * **Wall-clock watchdog** — a watchdog thread cancels any run that
-//!   exceeds [`CampaignConfig::run_wall_budget`] via the simulator's
-//!   cooperative cancel flag; the run classifies as
-//!   [`FaultEffect::Timeout`] and is logged as an anomaly.
+//! * **Wall-clock deadline** — each run starts with a deadline
+//!   [`CampaignConfig::run_wall_budget`] away, which the simulator checks
+//!   on entry to every run segment and every 1,024 cycles; a run the
+//!   deadline stops classifies as [`FaultEffect::Timeout`] and is logged
+//!   as an anomaly.
 //! * **Typed errors** — configuration problems and failed golden runs are
 //!   reported as [`CampaignError`] through [`Campaign::try_new`] /
 //!   [`Campaign::try_run`]; the panicking [`Campaign::new`] / \
@@ -49,8 +50,8 @@ use mbu_sram::{BitCoord, Geometry, Restorable};
 use mbu_workloads::Workload;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// Which SRAM array of the target component to inject into.
@@ -172,12 +173,12 @@ pub struct CampaignConfig {
     pub target: InjectionTarget,
     /// Collect a per-run fault list ([`RunDetail`]) in the result.
     pub collect_details: bool,
-    /// Wall-clock budget per injection run. A run past its budget is
-    /// cancelled by the watchdog thread and classified as
-    /// [`FaultEffect::Timeout`]; `None` disables the watchdog. Watchdog
-    /// cancellation depends on host speed, so it is the one knob that can
-    /// make results non-deterministic — the generous default only fires on
-    /// genuinely wedged runs.
+    /// Wall-clock budget per injection run. A run still going at its
+    /// deadline is stopped by the simulator and classified as
+    /// [`FaultEffect::Timeout`]; `None` sets no deadline. The stop depends
+    /// on host speed, so it is the one knob that can make results
+    /// non-deterministic — the generous default only fires on genuinely
+    /// wedged runs.
     pub run_wall_budget: Option<Duration>,
     /// Consult a fault-free [`LivenessOracle`] before simulating each run:
     /// a mask whose flipped bits are all provably dead at the injection
@@ -337,8 +338,8 @@ pub enum AnomalyKind {
     /// The run panicked inside the isolation boundary; it was classified as
     /// [`FaultEffect::Assert`].
     Panic,
-    /// The run exceeded its wall-clock budget and was cancelled by the
-    /// watchdog; it was classified as [`FaultEffect::Timeout`].
+    /// The run's wall-clock deadline stopped it; it was classified as
+    /// [`FaultEffect::Timeout`].
     WallClock,
     /// The snapshot store hit its memory cap while recording and degraded
     /// to a sparser checkpoint interval (campaign-level, logged as run 0;
@@ -505,7 +506,7 @@ pub struct Anomaly {
     pub run_seed: u64,
     /// What happened.
     pub kind: AnomalyKind,
-    /// The panic payload, or a description of the watchdog cancellation.
+    /// The panic payload, or a description of the deadline stop.
     pub message: String,
 }
 
@@ -593,7 +594,7 @@ pub struct CampaignResult {
     /// Per-run fault list, present when
     /// [`CampaignConfig::collect_details`] was enabled.
     pub details: Option<Vec<RunDetail>>,
-    /// Runs that panicked or were cancelled by the watchdog (empty for a
+    /// Runs that panicked or were stopped by their deadline (empty for a
     /// healthy campaign).
     pub anomalies: AnomalyLog,
     /// Runs the liveness oracle classified as Masked without simulation
@@ -683,17 +684,9 @@ struct RunExtras {
     snapshot_restore: bool,
     /// A reconvergence check proved the run masked before it finished.
     snapshot_early_masked: bool,
+    /// The run's wall-clock deadline stopped it.
+    deadline_stopped: bool,
 }
-
-/// A watchdog slot: the run currently executing on one worker thread.
-/// Registration and cancellation are serialized by the slot mutex, so the
-/// watchdog can never cancel a *newer* run than the one it observed.
-struct ActiveRun {
-    started: Instant,
-    cancel: Arc<AtomicBool>,
-}
-
-type WatchdogSlots = Vec<Mutex<Option<ActiveRun>>>;
 
 /// A runnable campaign.
 #[derive(Debug, Clone)]
@@ -782,7 +775,7 @@ impl Campaign {
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
         snapshots: Option<&SnapshotStore>,
-        cancel: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
     ) -> (RunDetail, RunExtras) {
         let cfg = &self.config;
         if let Some(hook) = &cfg.run_hook {
@@ -796,10 +789,8 @@ impl Campaign {
         let mut gen = MaskGenerator::seeded(run_seed, cfg.cluster);
         let inject_at = gen.injection_cycle(fault_free_cycles);
         let mask = gen.generate(geometry, cfg.faults);
-        let mut extras = RunExtras::default();
         if let Some(o) = oracle {
             if o.provably_masked(&mask.coords, inject_at) {
-                extras.oracle_skip = true;
                 let detail = RunDetail {
                     index: run_index,
                     inject_cycle: inject_at,
@@ -807,10 +798,14 @@ impl Campaign {
                     effect: FaultEffect::Masked,
                     cycles: fault_free_cycles,
                 };
+                let extras = RunExtras {
+                    oracle_skip: true,
+                    ..RunExtras::default()
+                };
                 return (detail, extras);
             }
         }
-        let (effect, cycles, run_extras) = self.run_injection(
+        let (effect, cycles, extras) = self.run_injection(
             program,
             &mask.coords,
             inject_at,
@@ -818,10 +813,8 @@ impl Campaign {
             golden_output,
             golden_code,
             snapshots,
-            Some(cancel),
+            deadline,
         );
-        extras.snapshot_restore = run_extras.snapshot_restore;
-        extras.snapshot_early_masked = run_extras.snapshot_early_masked;
         let detail = RunDetail {
             index: run_index,
             inject_cycle: inject_at,
@@ -848,7 +841,7 @@ impl Campaign {
         golden_output: &[u8],
         golden_code: u32,
         snapshots: Option<&SnapshotStore>,
-        cancel: Option<&Arc<AtomicBool>>,
+        deadline: Option<Instant>,
     ) -> (FaultEffect, u64, RunExtras) {
         let cfg = &self.config;
         let mut extras = RunExtras::default();
@@ -859,8 +852,8 @@ impl Campaign {
             sim.restore(store.nearest_at_or_before(inject_at));
             extras.snapshot_restore = true;
         }
-        if let Some(cancel) = cancel {
-            sim.set_cancel_flag(Arc::clone(cancel));
+        if let Some(deadline) = deadline {
+            sim.set_deadline(deadline);
         }
         let limit = fault_free_cycles * cfg.timeout_factor;
         // The injection point precedes the fault-free end, so the run cannot
@@ -882,6 +875,7 @@ impl Campaign {
                 end
             }
         };
+        extras.deadline_stopped = sim.stopped_by_deadline();
         let result = mbu_cpu::RunResult {
             end: end.unwrap_or(RunEnd::CycleLimit),
             output: sim.output().to_vec(),
@@ -933,12 +927,12 @@ impl Campaign {
     }
 
     /// Executes one injection run inside the isolation boundary: panics are
-    /// captured (and classified as [`FaultEffect::Assert`]), watchdog
-    /// cancellations are logged.
+    /// captured (and classified as [`FaultEffect::Assert`]), deadline stops
+    /// are logged.
     ///
     /// `catch_unwind` unwind-safety audit: the closure captures `&self`
     /// (immutable configuration), `&Program` (immutable), the golden
-    /// reference slices (immutable) and the `cancel` flag (atomic). All
+    /// reference slices (immutable) and the deadline (a copy). All
     /// mutable state — simulator, mask generator — lives *inside* the
     /// closure and is dropped on unwind, so nothing observable can be left
     /// half-updated; the `AssertUnwindSafe` is sound.
@@ -953,7 +947,7 @@ impl Campaign {
         geometry: Geometry,
         oracle: Option<&LivenessOracle>,
         snapshots: Option<&SnapshotStore>,
-        cancel: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
     ) -> (RunDetail, RunExtras, Option<Anomaly>) {
         install_quiet_panic_hook();
         let outcome = IN_ISOLATED_RUN.with(|flag| {
@@ -968,7 +962,7 @@ impl Campaign {
                     geometry,
                     oracle,
                     snapshots,
-                    cancel,
+                    deadline,
                 )
             }));
             flag.set(false);
@@ -976,13 +970,13 @@ impl Campaign {
         });
         match outcome {
             Ok((detail, extras)) => {
-                let anomaly = if cancel.load(Ordering::Relaxed) {
+                let anomaly = if extras.deadline_stopped {
                     Some(Anomaly {
                         run_index,
                         run_seed: derive_run_seed(self.config.seed, run_index),
                         kind: AnomalyKind::WallClock,
                         message: format!(
-                            "cancelled after exceeding the {:?} wall-clock budget",
+                            "stopped after exceeding the {:?} wall-clock budget",
                             self.config.run_wall_budget.unwrap_or_default()
                         ),
                     })
@@ -1048,17 +1042,10 @@ impl Campaign {
         .min(range.len())
         .max(1);
         let next = AtomicUsize::new(range.start);
-        let slots: WatchdogSlots = (0..threads).map(|_| Mutex::new(None)).collect();
-        let watchdog_stop = AtomicBool::new(false);
         let mut worker_panicked = false;
         std::thread::scope(|scope| {
-            if let Some(budget) = cfg.run_wall_budget {
-                let slots = &slots;
-                let watchdog_stop = &watchdog_stop;
-                scope.spawn(move || watchdog(slots, budget, watchdog_stop));
-            }
             let mut handles = Vec::new();
-            for slot in &slots {
+            for _ in 0..threads {
                 let next = &next;
                 let range = &range;
                 handles.push(scope.spawn(move || {
@@ -1071,11 +1058,10 @@ impl Campaign {
                         if i >= range.end {
                             break;
                         }
-                        let cancel = Arc::new(AtomicBool::new(false));
-                        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(ActiveRun {
-                            started: Instant::now(),
-                            cancel: Arc::clone(&cancel),
-                        });
+                        // A budget too large for `Instant` sets no deadline.
+                        let deadline = cfg
+                            .run_wall_budget
+                            .and_then(|b| Instant::now().checked_add(b));
                         let (detail, extras, anomaly) = self.one_run_isolated(
                             program,
                             i,
@@ -1085,9 +1071,8 @@ impl Campaign {
                             geometry,
                             oracle,
                             snapshots,
-                            &cancel,
+                            deadline,
                         );
-                        *slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
                         local.record(detail.effect);
                         local_extras.0 += u64::from(extras.oracle_skip);
                         local_extras.1 += u64::from(extras.snapshot_restore);
@@ -1118,7 +1103,6 @@ impl Campaign {
                     Err(_) => worker_panicked = true,
                 }
             }
-            watchdog_stop.store(true, Ordering::Relaxed);
         });
         if worker_panicked {
             return Err(CampaignError::WorkerPanicked);
@@ -1447,35 +1431,16 @@ fn run_with_reconvergence(
                 if end.is_some() {
                     return (end, false);
                 }
-                if sim.cycle() < check {
-                    // The cooperative cancel flag tripped mid-segment (the
-                    // wall-clock watchdog): surface the unfinished run the
-                    // same way `run_until_cycle` does.
+                if sim.stopped_by_deadline() {
+                    // The wall-clock deadline stopped the segment: surface
+                    // the unfinished run the same way `run_until_cycle`
+                    // does.
                     return (None, false);
                 }
                 if let Some(golden) = store.golden_at(check) {
                     if sim.converged_with(golden) {
                         return (None, true);
                     }
-                }
-            }
-        }
-    }
-}
-
-/// The watchdog loop: periodically scans the worker slots and cancels any
-/// run older than `budget`. Exits promptly once `stop` is raised.
-fn watchdog(slots: &WatchdogSlots, budget: Duration, stop: &AtomicBool) {
-    // Poll a few times per budget so overshoot stays proportional, but stay
-    // responsive to shutdown even with long budgets.
-    let poll = (budget / 8).clamp(Duration::from_millis(1), Duration::from_millis(100));
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
-        for slot in slots {
-            let guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(active) = guard.as_ref() {
-                if active.started.elapsed() >= budget {
-                    active.cancel.store(true, Ordering::Relaxed);
                 }
             }
         }
@@ -1761,8 +1726,8 @@ mod resilience_tests {
 
     fn stall_hard(index: usize) {
         if index == 1 {
-            // Long enough for the watchdog to observe, but bounded so a
-            // broken watchdog doesn't hang the suite.
+            // Well past the budget, but bounded so a broken deadline
+            // doesn't hang the suite.
             std::thread::sleep(Duration::from_millis(600));
         }
     }
@@ -1811,6 +1776,65 @@ mod resilience_tests {
         )
         .run();
         assert!(r.anomalies.is_empty());
+    }
+
+    #[test]
+    fn deadline_stops_runs_split_into_short_snapshot_segments() {
+        // 256-cycle checkpoint segments never reach the 1,024-cycle poll
+        // interval within one call, so only the check on segment entry can
+        // stop these runs: every run sleeps past its budget first.
+        let r = Campaign::new(
+            CampaignConfig::new(Workload::Stringsearch, HwComponent::RegFile, 1)
+                .runs(4)
+                .seed(5)
+                .threads(2)
+                .use_snapshots(true)
+                .snapshot_spec(SnapshotSpec {
+                    interval: Some(256),
+                    ..SnapshotSpec::default()
+                })
+                .run_wall_budget(Some(Duration::from_millis(50)))
+                .with_run_hook(|_| std::thread::sleep(Duration::from_millis(80))),
+        )
+        .run();
+        assert_eq!(r.counts.timeout, 4, "every run must time out: {}", r.counts);
+        let wall: Vec<usize> = r
+            .anomalies
+            .entries()
+            .iter()
+            .filter(|a| a.kind == AnomalyKind::WallClock)
+            .map(|a| a.run_index)
+            .collect();
+        assert_eq!(wall, [0, 1, 2, 3], "one wall-clock anomaly per stopped run");
+    }
+
+    /// A campaign returns as soon as its last run does: arming the default
+    /// 60 s budget adds no wait to a 1-run campaign. Timing-based, so it
+    /// runs only in optimised builds, on the fastest of three tries.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn wall_budget_adds_no_wait_at_campaign_end() {
+        let base = CampaignConfig::new(Workload::Stringsearch, HwComponent::RegFile, 1)
+            .runs(1)
+            .seed(9);
+        let artifacts = Campaign::new(base.clone()).build_artifacts().unwrap();
+        let fastest = |cfg: CampaignConfig| {
+            let campaign = Campaign::new(cfg);
+            (0..3)
+                .map(|_| {
+                    let t = Instant::now();
+                    campaign.try_run_with_artifacts(Some(&artifacts)).unwrap();
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let budgeted = fastest(base.clone());
+        let unbudgeted = fastest(base.run_wall_budget(None));
+        assert!(
+            budgeted <= unbudgeted + Duration::from_millis(50),
+            "budgeted {budgeted:?} vs unbudgeted {unbudgeted:?}"
+        );
     }
 }
 

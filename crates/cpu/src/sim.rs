@@ -18,8 +18,7 @@ use mbu_mem::{MemFault, MemSnapshot, MemorySystem};
 use mbu_sram::{BitCoord, Geometry, Injectable, LivenessProbe, Restorable, Snapshot};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
 /// Steps without a single committed instruction after which
 /// [`Simulator::run_until_cycle`] gives up and reports [`RunEnd::CycleLimit`].
@@ -31,9 +30,9 @@ use std::sync::Arc;
 /// into an early, still-deterministic `Timeout` classification.
 const STALL_FUSE: u64 = 1 << 18;
 
-/// How often (in steps) [`Simulator::run_until_cycle`] polls the cooperative
-/// cancel flag. Power of two so the check compiles to a mask.
-const CANCEL_POLL_INTERVAL: u64 = 1 << 10;
+/// How often (in cycles) [`Simulator::run_until_cycle`] checks the
+/// wall-clock deadline. Power of two so the check compiles to a mask.
+const DEADLINE_POLL_INTERVAL: u64 = 1 << 10;
 
 /// A pipeline-recorded fault, raised precisely at commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,8 +216,10 @@ pub struct Simulator {
     committed: u64,
     output: Vec<u8>,
     end: Option<RunEnd>,
-    /// Cooperative cancellation flag, polled by [`Simulator::run_until_cycle`].
-    cancel: Option<Arc<AtomicBool>>,
+    /// Wall-clock deadline, checked by [`Simulator::run_until_cycle`].
+    deadline: Option<Instant>,
+    /// Whether the deadline stopped a run.
+    deadline_stopped: bool,
     /// Register-file liveness probe (ACE analysis), if attached.
     prf_probe: Option<Box<dyn LivenessProbe>>,
     /// Pipeline-queue occupancy probe, if attached.
@@ -272,7 +273,8 @@ impl Simulator {
             committed: 0,
             output: Vec::new(),
             end: None,
-            cancel: None,
+            deadline: None,
+            deadline_stopped: false,
             prf_probe: None,
             pipeline_probe: None,
             probes_attached: false,
@@ -300,14 +302,20 @@ impl Simulator {
         }
     }
 
-    /// Installs a cooperative cancellation flag. While the flag is `false`
-    /// the simulator runs normally; once another thread (e.g. a campaign
-    /// watchdog) sets it, [`Simulator::run_until_cycle`] returns at the next
-    /// poll point with the run still unfinished, which callers classify as a
-    /// timeout. Polling is amortized over [`CANCEL_POLL_INTERVAL`] steps, so
-    /// cancellation latency is bounded but not instant.
-    pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
-        self.cancel = Some(cancel);
+    /// Sets a wall-clock deadline. [`Simulator::run_until_cycle`] checks it
+    /// on entry and whenever the cycle counter reaches a multiple of
+    /// [`DEADLINE_POLL_INTERVAL`]; once it has passed, the call returns with
+    /// the run still unfinished, which callers classify as a timeout. The
+    /// check reads no machine state, so a run the deadline does not stop is
+    /// cycle-identical to a run without one.
+    pub fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
+    }
+
+    /// Whether the deadline set by [`Simulator::set_deadline`] stopped a run
+    /// before it reached its target cycle or its end.
+    pub fn stopped_by_deadline(&self) -> bool {
+        self.deadline_stopped
     }
 
     /// The configuration this simulator was built with.
@@ -987,9 +995,10 @@ impl Simulator {
     /// * a **stall fuse** — [`STALL_FUSE`] consecutive cycles without a
     ///   commit end the run as [`RunEnd::CycleLimit`] (a wedged pipeline is a
     ///   livelock; burning the remaining budget would only waste wall-clock);
-    /// * a **cancel poll** — if a flag installed via
-    ///   [`Simulator::set_cancel_flag`] turns `true`, the loop exits early
-    ///   with the run unfinished (`None` end unless it already ended).
+    /// * a **deadline check** — once a deadline set with
+    ///   [`Simulator::set_deadline`] has passed, the loop exits early with
+    ///   the run unfinished (`None` end) and
+    ///   [`Simulator::stopped_by_deadline`] turns `true`.
     pub fn run_until_cycle(&mut self, cycle: u64) -> Option<RunEnd> {
         let mut stalled: u64 = 0;
         self.run_until_cycle_resumable(cycle, &mut stalled)
@@ -1004,10 +1013,17 @@ impl Simulator {
     /// fuse trips after [`STALL_FUSE`] consecutive commit-less cycles
     /// regardless of how the range was segmented, which is what keeps
     /// fast-forwarded injection runs classification-identical to full runs.
+    /// The deadline is likewise checked on entry and at the same cycle
+    /// multiples however the range is split, so segmenting cannot delay a
+    /// stop either.
     pub fn run_until_cycle_resumable(&mut self, cycle: u64, stalled: &mut u64) -> Option<RunEnd> {
         let mut last_committed = self.committed;
-        let mut steps: u64 = 0;
+        let mut poll = true;
         while self.end.is_none() && self.cycle < cycle {
+            if poll && self.deadline.is_some_and(|d| Instant::now() >= d) {
+                self.deadline_stopped = true;
+                break;
+            }
             self.step();
             if self.committed == last_committed {
                 *stalled += 1;
@@ -1019,14 +1035,7 @@ impl Simulator {
                 last_committed = self.committed;
                 *stalled = 0;
             }
-            steps += 1;
-            if steps.is_multiple_of(CANCEL_POLL_INTERVAL) {
-                if let Some(cancel) = &self.cancel {
-                    if cancel.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-            }
+            poll = self.cycle.is_multiple_of(DEADLINE_POLL_INTERVAL);
         }
         self.end
     }
@@ -1098,7 +1107,7 @@ fn same_completion_set(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
 /// copy-on-write DRAM pages), the syscall-shim output buffer and the
 /// cycle/retire counters.
 ///
-/// Non-architectural attachments — the cancel flag and liveness probes —
+/// Non-architectural attachments — the deadline and liveness probes —
 /// are deliberately excluded: restoring a snapshot into a fresh simulator
 /// built for the same program and configuration reproduces execution
 /// cycle-for-cycle.
