@@ -47,28 +47,19 @@
 //!                    header floods) at a daemon (--to <addr>) and verify
 //!                    every fault gets a typed response and the acceptor
 //!                    stays healthy; non-zero exit otherwise
-//!   snapbench        campaign wall-clock with the snapshot fast path off
-//!                    vs on, per component (BENCH_snapshot.json), then a
-//!                    3-component sweep with the golden-artifact cache off
-//!                    vs on (BENCH_sweep.json)
 //!   exhaustive       provable-coverage equivalence-class campaigns: one
 //!                    run per live (bit, access-interval) class on the
 //!                    small structures (ITLB/DTLB/PRF), weight-multiplied
 //!                    into the same FIT pipeline with margin exactly 0;
 //!                    checkpoints to results/exhaustive.csv next to --out
-//!                    and resumes like measure; MBU_EQUIV=on extends to
-//!                    the big arrays (L1D/L1I/L2) via class-weighted
-//!                    stratified sampling; --components restricts the set;
-//!                    --workers N (or --listen <addr>) shards each campaign
-//!                    by live-class range over the distributed fabric —
-//!                    class-range shards land in shards-equiv/ and the
-//!                    flavor-aware merge is bit-identical to the
-//!                    single-process sweep (MBU_UNIT_CLASSES sizes units)
-//!   equivbench       run-count economics of the class-weighted stratified
-//!                    campaigns vs the paper's uniform 2000-run protocol
-//!                    at matched margin (BENCH_equiv.json); --workers N
-//!                    appends a distributed class-range scaling section
-//!                    (1 vs N single-threaded workers, bit-identity checked)
+//!                    and resumes like measure (stale rows re-run);
+//!                    --components picks the set, and any big array listed
+//!                    (L1D/L1I/L2) is covered by class-weighted stratified
+//!                    sampling; --workers N (or --listen <addr>) shards
+//!                    each campaign by live-class range over the
+//!                    distributed fabric — class-range shards land in
+//!                    shards-equiv/ and the flavor-aware merge is
+//!                    bit-identical to the single-process sweep
 //!   all              everything in paper order
 //!
 //! flags:
@@ -76,42 +67,17 @@
 //!                    instead of measured data
 //!   --csv            print CSV instead of ASCII tables
 //!   --out <path>     results CSV path (default results/measured.csv)
-//!   --workload <w>   workload for `occupancy`/`snapbench` (default
-//!                    stringsearch)
-//!   --snapshots      enable checkpoint/restore fast-forward injection for
-//!                    every campaign (measure/fig1-6/xval/all);
-//!                    classifications stay bit-identical
+//!   --workload <w>   workload for `occupancy` (default stringsearch)
 //!
-//! Service knobs (daemon): MBU_HTTP_MAX_JOBS (concurrent sweeps, default
-//! 2), MBU_HTTP_QUEUE (queued submissions before 429, default 8),
-//! MBU_HTTP_CONN_MAX (connection cap before load-shedding 503s, default
-//! 64), MBU_HTTP_TIMEOUT_SECS (per-connection read/write deadline,
-//! default 30), MBU_DRAIN_TIMEOUT_SECS (graceful-drain budget on
-//! SIGTERM, default 60), MBU_MEM_BUDGET_MB (shared snapshot-memory
-//! budget split across running jobs), MBU_RETAIN_JOBS (terminal jobs
-//! whose shard dirs survive retention GC).
-//!
-//! environment: MBU_RUNS, MBU_SEED, MBU_THREADS, MBU_WORKLOADS,
-//! MBU_ADAPTIVE_MARGIN (adaptive early stopping), MBU_DEADLINE_SECS
-//! (sweep wall-clock budget), MBU_SNAPSHOTS, MBU_SNAPSHOT_INTERVAL,
-//! MBU_SNAPSHOT_MEM_MB (snapshot fast path and its memory cap),
-//! MBU_GOLDEN_CACHE (sweep-wide golden-artifact cache, default on),
-//! MBU_EQUIV (stratified big-array coverage for `exhaustive`),
-//! MBU_EXHAUSTIVE_MAX_CLASSES (live-class cap per exhaustive campaign,
-//! default 4 000 000; larger partitions are rejected, never subsampled).
-//! Fabric knobs (sweep/serve/worker): MBU_WORKERS, MBU_UNIT_RUNS,
-//! MBU_UNIT_CLASSES (classes per exhaustive unit, 0 = auto),
-//! MBU_HEARTBEAT_MS, MBU_STALL_SECS, MBU_UNIT_DEADLINE_SECS,
-//! MBU_UNIT_RETRIES, MBU_STEAL, MBU_DISK_WATERMARK_MB (pause assignment
-//! under this much free disk), MBU_BREAKER_TRIP / MBU_BREAKER_COOLDOWN_MS
-//! (worker-respawn circuit breaker), MBU_RETRY_BUDGET (per-sweep retry
-//! ceiling, typed exhaustion). Invalid values are rejected with a typed
-//! error, never silently defaulted.
+//! environment: the MBU_* knobs (sweep, fabric, daemon and test-only
+//! chaos) are tabulated with scope, default and meaning in README.md,
+//! "Configuration knobs". Invalid values are rejected with a typed error,
+//! never silently defaulted.
 //! ```
 
 use mbu_bench::supervisor::{FabricConfig, FabricReport, Supervisor, SweepOptions, WorkerPool};
 use mbu_bench::{
-    AnalyticalStore, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS, STRATIFIED_COMPONENTS,
+    split_equiv_components, AnalyticalStore, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS,
 };
 use mbu_cpu::HwComponent;
 use mbu_gefin::paper;
@@ -129,7 +95,6 @@ struct Options {
     chart: bool,
     out: PathBuf,
     workload: Workload,
-    snapshots: bool,
     /// `--workers N` override for sweep/serve.
     workers: Option<usize>,
     /// `--shards <dir>`: shard directory for sweep/serve/verify-store.
@@ -163,7 +128,6 @@ fn parse_args() -> Result<Options, String> {
     let mut out = PathBuf::from("results/measured.csv");
     let mut chart = false;
     let mut workload = Workload::Stringsearch;
-    let mut snapshots = false;
     let mut workers = None;
     let mut shards = None;
     let mut shard = None;
@@ -220,7 +184,6 @@ fn parse_args() -> Result<Options, String> {
             "--paper" => use_paper = true,
             "--csv" => csv = true,
             "--chart" => chart = true,
-            "--snapshots" => snapshots = true,
             "--out" => {
                 out = PathBuf::from(args.next().ok_or("--out needs a path")?);
             }
@@ -248,7 +211,6 @@ fn parse_args() -> Result<Options, String> {
         chart,
         out,
         workload,
-        snapshots,
         workers,
         shards,
         shard,
@@ -265,7 +227,7 @@ fn parse_args() -> Result<Options, String> {
 
 fn usage() {
     eprintln!(
-        "usage: repro <table1..table8|fig1..fig8|measure|summary|ablation|xval|occupancy|verify-store|snapbench|exhaustive|equivbench|sweep|worker|serve|all> [--paper] [--csv] [--chart] [--out path] [--workload w] [--snapshots]\n\
+        "usage: repro <table1..table8|fig1..fig8|measure|summary|ablation|xval|occupancy|verify-store|exhaustive|sweep|worker|serve|all> [--paper] [--csv] [--chart] [--out path] [--workload w]\n\
          \x20      repro verify-store <checkpoint.csv>   read-only integrity audit\n\
          \x20      repro verify-store --shards <dir>     audit worker shard stores (exit 1 on defects)\n\
          \x20      repro sweep [--workers N] [--shards dir]  distributed measure with supervised workers\n\
@@ -277,25 +239,11 @@ fn usage() {
          \x20      repro fetch --to <addr> <id> --out <path>   download the merged CSV\n\
          \x20      repro cancel --to <addr> <id>               cancel a queued/running job\n\
          \x20      repro chaos-http --to <addr>                fire HTTP faults at a daemon, verify typed replies\n\
-         \x20      repro snapbench [--workload w]        snapshot off/on wall-clock -> BENCH_snapshot.json,\n\
-         \x20                                            golden-cache off/on sweep -> BENCH_sweep.json\n\
-         \x20      repro exhaustive [--components a,b]   one run per live equivalence class (ITLB/DTLB/PRF;\n\
-         \x20                                            MBU_EQUIV=on adds stratified L1/L2) -> results/exhaustive.csv\n\
+         \x20      repro exhaustive [--components a,b]   one run per live equivalence class (default ITLB/DTLB/PRF;\n\
+         \x20                                            listed L1D/L1I/L2 run stratified) -> results/exhaustive.csv\n\
          \x20      repro exhaustive --workers N [--shards dir]  same sweep sharded by class range over the fabric\n\
          \x20                                            (bit-identical merge; --listen <addr> adopts TCP workers)\n\
-         \x20      repro equivbench [--workload w]       stratified vs uniform-2000 run economics -> BENCH_equiv.json\n\
-         \x20      repro equivbench --workers N          adds distributed class-range scaling (1 vs N workers)\n\
-         env:   MBU_RUNS (default 150), MBU_SEED, MBU_THREADS, MBU_WORKLOADS,\n\
-         \x20      MBU_ADAPTIVE_MARGIN, MBU_DEADLINE_SECS, MBU_SNAPSHOTS,\n\
-         \x20      MBU_SNAPSHOT_INTERVAL, MBU_SNAPSHOT_MEM_MB, MBU_GOLDEN_CACHE,\n\
-         \x20      MBU_EQUIV, MBU_EXHAUSTIVE_MAX_CLASSES (equivalence-class modes),\n\
-         \x20      MBU_WORKERS, MBU_UNIT_RUNS, MBU_UNIT_CLASSES, MBU_HEARTBEAT_MS, MBU_STALL_SECS,\n\
-         \x20      MBU_UNIT_DEADLINE_SECS, MBU_UNIT_RETRIES, MBU_STEAL,\n\
-         \x20      MBU_DISK_WATERMARK_MB, MBU_BREAKER_TRIP, MBU_BREAKER_COOLDOWN_MS,\n\
-         \x20      MBU_RETRY_BUDGET (fabric governor),\n\
-         \x20      MBU_HTTP_MAX_JOBS, MBU_HTTP_QUEUE, MBU_HTTP_CONN_MAX,\n\
-         \x20      MBU_HTTP_TIMEOUT_SECS, MBU_DRAIN_TIMEOUT_SECS,\n\
-         \x20      MBU_MEM_BUDGET_MB, MBU_RETAIN_JOBS (daemon)"
+         env:   MBU_* knobs, tabulated in README.md (\"Configuration knobs\")"
     );
 }
 
@@ -370,6 +318,19 @@ fn derived_avfs(
     e.component_avfs(store)
 }
 
+/// Prints what resuming a checkpoint re-ran (stale fingerprints) and kept
+/// unverified (no fingerprint).
+fn report_resume(stale_rerun: usize, legacy_unverified: usize) {
+    if stale_rerun > 0 {
+        eprintln!("  re-ran {stale_rerun} campaign(s) whose golden-run fingerprint was stale");
+    }
+    if legacy_unverified > 0 {
+        eprintln!(
+            "  kept {legacy_unverified} unverifiable pre-integrity campaign(s) (no fingerprint)"
+        );
+    }
+}
+
 /// Runs every missing campaign, flushing each one to the checkpoint CSV as
 /// it finishes — a killed `measure` loses at most the campaign in flight,
 /// and a restart re-runs only what is missing.
@@ -385,18 +346,7 @@ fn measure_all(e: &Experiments, opts: &Options, store: &mut ResultStore) {
                         opts.out.display()
                     );
                 }
-                if report.stale_rerun > 0 {
-                    eprintln!(
-                        "  re-ran {} campaign(s) whose golden-run fingerprint was stale",
-                        report.stale_rerun
-                    );
-                }
-                if report.legacy_unverified > 0 {
-                    eprintln!(
-                        "  kept {} unverifiable pre-integrity campaign(s) (no fingerprint)",
-                        report.legacy_unverified
-                    );
-                }
+                report_resume(report.stale_rerun, report.legacy_unverified);
                 if let Some(m) = report.worst_margin() {
                     eprintln!("  worst achieved margin: ±{:.2}%", m * 100.0);
                 }
@@ -486,7 +436,6 @@ fn submit_body(e: &Experiments, opts: &Options) -> Result<Json, String> {
         ),
         ("runs".into(), Json::usize(e.runs)),
         ("seed".into(), Json::u64(e.seed)),
-        ("snapshots".into(), Json::Bool(e.use_snapshots)),
     ];
     // Equivalence classes cover single-bit faults, so the daemon pins
     // cardinality to 1 in exhaustive mode; echoing the sampled-sweep
@@ -593,9 +542,6 @@ fn follow_events(addr: &str, id: &str) -> Result<(), String> {
 fn run(opts: &Options) -> Result<(), String> {
     let mut e = Experiments::try_from_env().map_err(|err| err.to_string())?;
     e.verbose = true;
-    if opts.snapshots {
-        e.use_snapshots = true;
-    }
     let id = opts.experiment.as_str();
     match id {
         "table1" => emit(&e.table1(), opts.csv),
@@ -716,49 +662,6 @@ fn run(opts: &Options) -> Result<(), String> {
             measure_all(&e, opts, &mut store);
             eprintln!("saved {} campaigns to {}", store.len(), opts.out.display());
         }
-        "snapbench" => {
-            let w = opts.workload;
-            eprintln!(
-                "benchmarking snapshot fast path off/on: 6 components x {} runs on {w}",
-                e.runs
-            );
-            let report = e.snapbench(w);
-            emit(&report.table(), opts.csv);
-            if !report.all_identical() {
-                return Err("snapshot fast path changed a classification".into());
-            }
-            let path = std::path::Path::new("BENCH_snapshot.json");
-            std::fs::write(path, report.to_json()).map_err(|err| err.to_string())?;
-            eprintln!(
-                "max speedup {:.2}x; wrote {}",
-                report.max_speedup(),
-                path.display()
-            );
-            // The sweep-level benchmark: the golden-artifact cache amortizes
-            // golden + snapshot-recording runs across a components ×
-            // cardinalities sweep. Basicmath has the costliest golden build
-            // relative to its (mostly early-masked) injection runs, and the
-            // mostly-masked components keep injection time small, so the
-            // fixed cost the cache removes is clearly visible.
-            let sweep_workload = Workload::Basicmath;
-            let sweep_components = [HwComponent::L1I, HwComponent::L2, HwComponent::ITlb];
-            eprintln!(
-                "benchmarking golden-artifact cache off/on: {} components x 3 cardinalities on {sweep_workload}",
-                sweep_components.len()
-            );
-            let sweep = e.sweepbench(sweep_workload, &sweep_components);
-            emit(&sweep.table(), opts.csv);
-            if !sweep.identical {
-                return Err("golden-artifact cache changed a campaign result".into());
-            }
-            let sweep_path = std::path::Path::new("BENCH_sweep.json");
-            std::fs::write(sweep_path, sweep.to_json()).map_err(|err| err.to_string())?;
-            eprintln!(
-                "sweep speedup {:.2}x; wrote {}",
-                sweep.speedup(),
-                sweep_path.display()
-            );
-        }
         "exhaustive" => {
             // Equivalence-class campaigns checkpoint next to the measured
             // CSV (like xval) so exhaustive rows never mix into the
@@ -777,41 +680,19 @@ fn run(opts: &Options) -> Result<(), String> {
                 "exhaustive equivalence-class campaigns: {} workload(s), one run per live class",
                 e.workloads.len()
             );
-            if e.equiv {
-                eprintln!(
-                    "  MBU_EQUIV on: big arrays covered by class-weighted stratified sampling"
-                );
-            }
-            // --components restricts the set; each name must land in a
-            // mode that can actually cover it.
-            let (ex, strat): (Vec<HwComponent>, Vec<HwComponent>) = match &opts.components {
-                Some(list) => {
-                    let mut ex = Vec::new();
-                    let mut strat = Vec::new();
-                    for s in list.split(',').filter(|s| !s.trim().is_empty()) {
-                        let c: HwComponent = s.trim().parse().map_err(|err| format!("{err}"))?;
-                        if EXHAUSTIVE_COMPONENTS.contains(&c) {
-                            ex.push(c);
-                        } else if e.equiv {
-                            strat.push(c);
-                        } else {
-                            return Err(format!(
-                                "{c} is a big array: exhaustive enumeration covers only \
-                                 ITLB/DTLB/PRF; set MBU_EQUIV=on for stratified coverage"
-                            ));
-                        }
-                    }
-                    (ex, strat)
-                }
-                None => (
-                    EXHAUSTIVE_COMPONENTS.to_vec(),
-                    if e.equiv {
-                        STRATIFIED_COMPONENTS.to_vec()
-                    } else {
-                        Vec::new()
-                    },
-                ),
+            // --components picks the set (default: the small structures);
+            // small structures enumerate exhaustively, big arrays sample
+            // stratified.
+            let components = match &opts.components {
+                Some(list) => list
+                    .split(',')
+                    .filter(|s| !s.trim().is_empty())
+                    .map(|s| s.trim().parse::<HwComponent>())
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|err| err.to_string())?,
+                None => EXHAUSTIVE_COMPONENTS.to_vec(),
             };
+            let (ex, strat) = split_equiv_components(&components);
             if opts.workers.is_some() || opts.listen.is_some() {
                 // Distributed: shard each exhaustive campaign by class
                 // range over supervised workers; the merged store is
@@ -864,6 +745,7 @@ fn run(opts: &Options) -> Result<(), String> {
             // Compact the append-only checkpoint (drops resumed duplicates).
             store.save(&path).map_err(|err| err.to_string())?;
             emit(&e.equiv_table(&store), opts.csv);
+            report_resume(report.stale_rerun, report.legacy_unverified);
             eprintln!(
                 "{} campaign(s) executed ({} resumed), {} class sim(s) covering {} bit-cycles \
                  ({} proved dead without simulation); saved to {}",
@@ -879,53 +761,6 @@ fn run(opts: &Options) -> Result<(), String> {
                     "{} equivalence-class campaign(s) failed",
                     report.failed.len()
                 ));
-            }
-        }
-        "equivbench" => {
-            let w = opts.workload;
-            eprintln!(
-                "benchmarking class-weighted stratified campaigns vs {} uniform runs on {w}",
-                mbu_bench::equivbench::BASELINE_RUNS
-            );
-            let mut report = e.equivbench(w, &STRATIFIED_COMPONENTS);
-            if let Some(n) = opts.workers {
-                eprintln!(
-                    "benchmarking distributed class-range scaling: DTLB/{w}, \
-                     1 vs {n} single-threaded worker(s)"
-                );
-                let fabric = e
-                    .equivbench_fabric(w, HwComponent::DTlb, n)
-                    .map_err(|err| format!("fabric scaling benchmark: {err}"))?;
-                eprintln!(
-                    "  {} live classes: 1 worker {:.1}s, {} workers {:.1}s -> {:.2}x \
-                     on {} core(s); merged stores {}",
-                    fabric.live_classes,
-                    fabric.secs_one,
-                    fabric.workers,
-                    fabric.secs_many,
-                    fabric.speedup(),
-                    fabric.cores,
-                    if fabric.bit_identical {
-                        "bit-identical"
-                    } else {
-                        "DIVERGED"
-                    }
-                );
-                report.fabric = Some(fabric);
-            }
-            emit(&report.table(), opts.csv);
-            let path = std::path::Path::new("BENCH_equiv.json");
-            std::fs::write(path, report.to_json()).map_err(|err| err.to_string())?;
-            eprintln!(
-                "headline run-count reduction {:.1}x at equal-or-better margin; wrote {}",
-                report.headline_reduction(),
-                path.display()
-            );
-            if !report.all_at_margin() {
-                return Err("a stratified campaign missed the uniform-baseline margin".into());
-            }
-            if report.fabric.as_ref().is_some_and(|f| !f.bit_identical) {
-                return Err("distributed and single-worker exhaustive stores diverged".into());
             }
         }
         "verify-store" => {

@@ -18,10 +18,10 @@
 use crate::io::StoreIo;
 use std::collections::BTreeSet;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which append calls misbehave, by 0-based call index. A retried append
 /// is a *new* call index, so transient-failure plans compose naturally
@@ -144,7 +144,7 @@ impl StoreIo for ChaosIo<'_> {
 /// mode: an abrupt `SIGKILL` (process vanishes mid-unit, shard file
 /// possibly mid-append), a hung worker (process alive, no heartbeats, no
 /// progress), or a worker that corrupts its control stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerFault {
     /// Exit abruptly (status 137, the `SIGKILL` exit code) after this many
     /// runs of the first assigned unit — no shutdown handshake, no final
@@ -172,11 +172,26 @@ pub enum WorkerFault {
         /// Completed-and-persisted units before dying.
         after_units: usize,
     },
+    /// Hold the worker once the Nth completed unit is persisted and
+    /// acknowledged, until the `gate` file exists: the supervisor keeps
+    /// the worker's next assignment in flight, so a test can act on a
+    /// sweep that provably has not finished. A gate never opened is given
+    /// up after [`PARK_LIMIT`], so an orphaned worker cannot linger.
+    ParkAfterUnit {
+        /// Completed-and-acknowledged units before parking.
+        after_units: usize,
+        /// The file whose creation releases the worker.
+        gate: PathBuf,
+    },
 }
+
+/// The longest a [`WorkerFault::ParkAfterUnit`] worker waits for its gate.
+pub const PARK_LIMIT: Duration = Duration::from_secs(60);
 
 impl WorkerFault {
     /// Parses a fault spec: `kill-mid-unit:N`, `hang-mid-unit:N`,
-    /// `die-after-persist:N` or `garbage-frames`.
+    /// `die-after-persist:N`, `park-after-unit:N:<gate path>` or
+    /// `garbage-frames`.
     ///
     /// # Errors
     ///
@@ -202,6 +217,16 @@ impl WorkerFault {
             "die-after-persist" => Ok(WorkerFault::DieAfterPersist {
                 after_units: after(arg)?,
             }),
+            "park-after-unit" => {
+                let (count, gate) = arg
+                    .and_then(|a| a.split_once(':'))
+                    .filter(|(_, gate)| !gate.is_empty())
+                    .ok_or_else(|| format!("fault `{kind}` needs `:N:<gate path>`"))?;
+                Ok(WorkerFault::ParkAfterUnit {
+                    after_units: after(Some(count))?,
+                    gate: PathBuf::from(gate),
+                })
+            }
             other => Err(format!("unknown worker fault `{other}`")),
         }
     }
@@ -218,10 +243,12 @@ pub struct WorkerChaos {
     muted: std::sync::atomic::AtomicBool,
 }
 
-/// The supervisor-side env var: `<worker index>:<fault spec>`. The
-/// supervisor consumes it and passes the bare spec to the targeted worker
-/// via [`WORKER_FAULT_ENV`] — respawned replacements never inherit it, so
-/// a killed worker does not kill its replacement.
+/// The supervisor-side env var: a comma-separated list of
+/// `<worker index>:<fault spec>` entries. The supervisor consumes it and
+/// passes each bare spec to the worker spawned at that slot index via
+/// [`WORKER_FAULT_ENV`] — a respawned replacement takes the next free
+/// index, so it inherits only a fault aimed at that index, and a killed
+/// worker does not kill its replacement.
 pub const CHAOS_WORKER_ENV: &str = "MBU_CHAOS_WORKER";
 
 /// The worker-side env var holding a bare fault spec.
@@ -258,26 +285,32 @@ impl WorkerChaos {
         }
     }
 
-    /// Parses the supervisor-side [`CHAOS_WORKER_ENV`] into a (worker
-    /// index, fault spec) pair, `None` when unset.
+    /// Parses the supervisor-side [`CHAOS_WORKER_ENV`] into (worker
+    /// index, fault spec) pairs, empty when unset.
     ///
     /// # Panics
     ///
     /// Panics on a malformed value (see [`WorkerChaos::from_env`]).
-    pub fn target_from_env() -> Option<(usize, String)> {
-        let v = std::env::var(CHAOS_WORKER_ENV).ok()?;
-        let (index, spec) = v
-            .split_once(':')
-            .unwrap_or_else(|| panic!("{CHAOS_WORKER_ENV} must be `<worker index>:<fault>`"));
-        let index = index
-            .parse()
-            .unwrap_or_else(|e| panic!("{CHAOS_WORKER_ENV}: bad worker index: {e}"));
-        // Validate the spec eagerly so the failure is at the supervisor,
-        // not buried in a worker's stderr.
-        if let Err(e) = WorkerFault::parse(spec) {
-            panic!("{CHAOS_WORKER_ENV}: {e}");
-        }
-        Some((index, spec.to_string()))
+    pub fn targets_from_env() -> Vec<(usize, String)> {
+        let Ok(v) = std::env::var(CHAOS_WORKER_ENV) else {
+            return Vec::new();
+        };
+        v.split(',')
+            .map(|entry| {
+                let (index, spec) = entry.trim().split_once(':').unwrap_or_else(|| {
+                    panic!("{CHAOS_WORKER_ENV} entries must be `<worker index>:<fault>`")
+                });
+                let index = index
+                    .parse()
+                    .unwrap_or_else(|e| panic!("{CHAOS_WORKER_ENV}: bad worker index: {e}"));
+                // Validate the spec eagerly so the failure is at the
+                // supervisor, not buried in a worker's stderr.
+                if let Err(e) = WorkerFault::parse(spec) {
+                    panic!("{CHAOS_WORKER_ENV}: {e}");
+                }
+                (index, spec.to_string())
+            })
+            .collect()
     }
 
     /// Hook point for the campaign's per-run hook: counts the run and
@@ -311,6 +344,22 @@ impl WorkerChaos {
                 // Same abrupt exit as kill-mid-unit: no flush, no ack.
                 std::process::exit(137);
             }
+        }
+    }
+
+    /// Hook point for the worker loop, called after a completed unit's
+    /// `Done` frame is sent: parks the worker at its scripted unit count
+    /// until the gate file exists (or [`PARK_LIMIT`] passes).
+    pub fn on_unit_acked(&self) {
+        let Some(WorkerFault::ParkAfterUnit { after_units, gate }) = &self.fault else {
+            return;
+        };
+        if self.units_persisted.load(Ordering::Relaxed) != *after_units {
+            return;
+        }
+        let give_up = Instant::now() + PARK_LIMIT;
+        while !gate.exists() && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 
@@ -607,6 +656,16 @@ mod tests {
             WorkerFault::parse("die-after-persist:1"),
             Ok(WorkerFault::DieAfterPersist { after_units: 1 })
         );
+        assert_eq!(
+            WorkerFault::parse("park-after-unit:1:/tmp/gate:x"),
+            Ok(WorkerFault::ParkAfterUnit {
+                after_units: 1,
+                gate: PathBuf::from("/tmp/gate:x"),
+            })
+        );
+        assert!(WorkerFault::parse("park-after-unit:1").is_err());
+        assert!(WorkerFault::parse("park-after-unit:1:").is_err());
+        assert!(WorkerFault::parse("park-after-unit:x:/tmp/gate").is_err());
         assert!(WorkerFault::parse("die-after-persist").is_err());
         assert!(WorkerFault::parse("kill-mid-unit").is_err());
         assert!(WorkerFault::parse("kill-mid-unit:x").is_err());

@@ -10,8 +10,7 @@ use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
 use mbu_gefin::avf::{weighted_avf, ClassBreakdown, ComponentAvf};
 use mbu_gefin::beam::{run_beam, BeamConfig};
 use mbu_gefin::campaign::{
-    AdaptiveSpec, Anomaly, AnomalyKind, AnomalyLog, Campaign, CampaignConfig, CampaignResult,
-    InjectionTarget,
+    AdaptiveSpec, Campaign, CampaignConfig, CampaignResult, InjectionTarget,
 };
 use mbu_gefin::classify::FaultEffect;
 use mbu_gefin::error::CampaignError;
@@ -62,10 +61,6 @@ pub struct SweepReport {
     /// Achieved error margin per campaign, for every campaign that has one
     /// (executed this call or loaded from a v2 checkpoint).
     pub margins: Vec<(Key, f64)>,
-    /// Sweep-level irregularities — e.g. the golden-artifact cache being
-    /// bypassed (`MBU_GOLDEN_CACHE=off`). Per-campaign anomalies stay on
-    /// their [`CampaignResult`]s; entries here never affect classifications.
-    pub anomalies: AnomalyLog,
 }
 
 impl SweepReport {
@@ -118,20 +113,37 @@ impl Default for SweepControl<'static> {
 pub const EXHAUSTIVE_COMPONENTS: [HwComponent; 3] =
     [HwComponent::ITlb, HwComponent::DTlb, HwComponent::RegFile];
 
-/// Big data arrays covered by class-weighted stratified sampling when
-/// [`Experiments::equiv`] is on — exhaustively enumerating their live
-/// classes is infeasible, but the dead stratum is still pruned exactly.
+/// Big data arrays covered by class-weighted stratified sampling —
+/// exhaustively enumerating their live classes is infeasible, but the
+/// dead stratum is still pruned exactly.
 pub const STRATIFIED_COMPONENTS: [HwComponent; 3] =
     [HwComponent::L1D, HwComponent::L1I, HwComponent::L2];
 
-/// What one [`Experiments::run_equiv`] call did — resume accounting plus
-/// the coverage aggregates the CLI and the equivalence benchmark report.
+/// Splits an equivalence-class component list into the small structures
+/// enumerated exhaustively ([`EXHAUSTIVE_COMPONENTS`]) and the big arrays
+/// sampled stratified (everything else), each in list order — the one
+/// rule `repro exhaustive` and the daemon's exhaustive mode share.
+pub fn split_equiv_components(components: &[HwComponent]) -> (Vec<HwComponent>, Vec<HwComponent>) {
+    components
+        .iter()
+        .copied()
+        .partition(|c| EXHAUSTIVE_COMPONENTS.contains(c))
+}
+
+/// What one [`Experiments::run_equiv_with`] call did — resume accounting
+/// plus the coverage aggregates the CLI reports.
 #[derive(Debug, Clone, Default)]
 pub struct EquivReport {
     /// Campaigns executed in this call (exhaustive + stratified).
     pub executed: usize,
     /// Campaigns skipped because the store already held their key.
     pub skipped_existing: usize,
+    /// Checkpointed campaigns whose golden-run fingerprint no longer
+    /// matches the current binaries/configuration; they were re-run.
+    pub stale_rerun: usize,
+    /// Checkpointed campaigns carrying no fingerprint; kept as-is, but
+    /// flagged — their provenance is unverifiable.
+    pub legacy_unverified: usize,
     /// Campaigns that could not run; the sweep continues past them.
     pub failed: Vec<(Key, CampaignError)>,
     /// Distinct simulations actually run across the executed campaigns.
@@ -257,11 +269,12 @@ pub struct Experiments {
     /// Wall-clock budget for a whole sweep (`MBU_DEADLINE_SECS`, default
     /// none); on expiry the sweep stops cleanly with partial results.
     pub deadline: Option<Duration>,
-    /// Checkpoint/restore fast-forward injection (`MBU_SNAPSHOTS`, default
-    /// off): every campaign records golden-run snapshots, restores the
-    /// nearest one instead of re-simulating the fault-free prefix, and
-    /// classifies reconverged runs `Masked` early. Classifications are
-    /// bit-identical to the plain path.
+    /// Checkpoint/restore fast-forward injection (default on): every
+    /// campaign records golden-run snapshots, restores the nearest one
+    /// instead of re-simulating the fault-free prefix, and classifies
+    /// reconverged runs `Masked` early. Classifications are bit-identical
+    /// to the plain path, which stays only as the reference the
+    /// differential suites compare against.
     pub use_snapshots: bool,
     /// Snapshot interval in cycles (`MBU_SNAPSHOT_INTERVAL`, default:
     /// auto-tuned from each workload's fault-free execution time).
@@ -270,18 +283,6 @@ pub struct Experiments {
     /// over the cap the store thins to sparser intervals instead of
     /// growing.
     pub snapshot_mem_mb: Option<u64>,
-    /// Sweep-wide golden-artifact cache (`MBU_GOLDEN_CACHE`, default on):
-    /// each workload's golden run (and snapshot store, when enabled) is
-    /// computed once per sweep and shared read-only across every campaign
-    /// targeting that workload. Results are bit-identical either way; `off`
-    /// is an escape hatch that re-runs the golden execution per campaign
-    /// and logs a sweep-level anomaly.
-    pub use_golden_cache: bool,
-    /// Fault-equivalence mode (`MBU_EQUIV`, default off): the exhaustive
-    /// driver additionally covers the big data arrays (L1D/L1I/L2) with
-    /// class-weighted stratified sampling — draws proportional to
-    /// live-interval mass, the dead stratum credited `Masked` exactly.
-    pub equiv: bool,
     /// Hard cap on live equivalence classes per exhaustive campaign
     /// (`MBU_EXHAUSTIVE_MAX_CLASSES`, default 4 000 000). A partition
     /// larger than the cap is rejected with a typed
@@ -305,11 +306,9 @@ impl Default for Experiments {
             verbose: false,
             adaptive: None,
             deadline: None,
-            use_snapshots: false,
+            use_snapshots: true,
             snapshot_interval: None,
             snapshot_mem_mb: None,
-            use_golden_cache: true,
-            equiv: false,
             exhaustive_max_classes: DEFAULT_MAX_CLASSES,
             max_cardinality: 3,
         }
@@ -317,20 +316,6 @@ impl Default for Experiments {
 }
 
 impl Experiments {
-    /// Builds the configuration from `MBU_*` environment variables,
-    /// panicking on invalid values (legacy entry point; prefer
-    /// [`Experiments::try_from_env`] for a typed error).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`]'s message on any invalid variable.
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(e) => e,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Builds the configuration from `MBU_*` environment variables,
     /// rejecting invalid values with a typed [`ConfigError`] instead of a
     /// panic or — worse — a silent fallback to the default. Non-unicode
@@ -380,9 +365,6 @@ impl Experiments {
                 "must be an integer",
             )?));
         }
-        if let Some(v) = env_value("MBU_SNAPSHOTS")? {
-            e.use_snapshots = parse_switch("MBU_SNAPSHOTS", &v)?;
-        }
         if let Some(v) = env_value("MBU_SNAPSHOT_INTERVAL")? {
             e.snapshot_interval = Some(parse_env(
                 "MBU_SNAPSHOT_INTERVAL",
@@ -392,12 +374,6 @@ impl Experiments {
         }
         if let Some(v) = env_value("MBU_SNAPSHOT_MEM_MB")? {
             e.snapshot_mem_mb = Some(parse_env("MBU_SNAPSHOT_MEM_MB", &v, "must be an integer")?);
-        }
-        if let Some(v) = env_value("MBU_GOLDEN_CACHE")? {
-            e.use_golden_cache = parse_switch("MBU_GOLDEN_CACHE", &v)?;
-        }
-        if let Some(v) = env_value("MBU_EQUIV")? {
-            e.equiv = parse_switch("MBU_EQUIV", &v)?;
         }
         if let Some(v) = env_value("MBU_EXHAUSTIVE_MAX_CLASSES")? {
             e.exhaustive_max_classes = parse_env(
@@ -659,6 +635,50 @@ impl Experiments {
             .or_insert_with(|| golden_fingerprint(self.core, workload).ok())
     }
 
+    /// The resume rule both checkpointing drivers share: whether the row
+    /// `store` holds under `key` is kept (`true`, skip the campaign) or
+    /// re-run. A stored golden-run fingerprint that no longer matches the
+    /// current binaries means the simulator, core configuration or workload
+    /// changed underneath the checkpoint, so the row is re-run and counted
+    /// in `stale`. A row without a fingerprint predates the integrity
+    /// columns; it is kept (old results are not orphaned) and counted in
+    /// `legacy`.
+    fn keep_checkpointed(
+        &self,
+        store: &ResultStore,
+        (component, w, faults): Key,
+        fingerprints: &mut BTreeMap<Workload, Option<GoldenFingerprint>>,
+        legacy: &mut usize,
+        stale: &mut usize,
+    ) -> bool {
+        let Some(stored) = store.fingerprint(component, w, faults) else {
+            *legacy += 1;
+            if self.verbose {
+                eprintln!(
+                    "  warning: {component}/{w}/{faults}-bit comes from a pre-integrity \
+                     checkpoint (no fingerprint); kept as-is"
+                );
+            }
+            return true;
+        };
+        // An unobtainable current fingerprint (golden run fails today)
+        // cannot prove staleness; the row is kept.
+        if !self
+            .current_fingerprint(fingerprints, w)
+            .is_some_and(|current| current != stored)
+        {
+            return true;
+        }
+        *stale += 1;
+        if self.verbose {
+            eprintln!(
+                "  {component}/{w}/{faults}-bit checkpoint is stale \
+                 (fingerprint mismatch); re-running"
+            );
+        }
+        false
+    }
+
     /// [`Experiments::run_sweep`] with explicit [`SweepControl`]: the form
     /// the chaos harness drives, and the one to use for custom I/O, retry,
     /// deadline or fingerprint-verification policies.
@@ -666,10 +686,10 @@ impl Experiments {
     /// On resume, each checkpointed row's stored golden-run fingerprint is
     /// compared against the fingerprint the current binaries produce; a
     /// mismatch means the simulator, core configuration or workload changed
-    /// underneath the checkpoint, so the row is **re-run**, not merged.
-    /// Rows from pre-integrity files carry no fingerprint; they are kept
-    /// (old results are not orphaned) but counted in
-    /// [`SweepReport::legacy_unverified`].
+    /// underneath the checkpoint, so the row is **re-run**, not merged
+    /// ([`SweepReport::stale_rerun`]). Rows from pre-integrity files carry
+    /// no fingerprint; they are kept (old results are not orphaned) but
+    /// counted in [`SweepReport::legacy_unverified`].
     ///
     /// # Errors
     ///
@@ -688,19 +708,6 @@ impl Experiments {
         let mut fingerprints: BTreeMap<Workload, Option<GoldenFingerprint>> = BTreeMap::new();
         let mut artifacts: BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>> =
             BTreeMap::new();
-        if !self.use_golden_cache {
-            report.anomalies.record(Anomaly {
-                run_index: 0,
-                run_seed: self.seed,
-                kind: AnomalyKind::GoldenCacheBypass,
-                message: "golden-artifact cache disabled (MBU_GOLDEN_CACHE=off); every campaign \
-                          re-ran its own golden execution"
-                    .into(),
-            });
-            if self.verbose {
-                eprintln!("  golden-artifact cache bypassed (MBU_GOLDEN_CACHE=off)");
-            }
-        }
         'sweep: for &component in components {
             for &w in &self.workloads {
                 let mut workload_poisoned = false;
@@ -716,62 +723,40 @@ impl Experiments {
                             break 'sweep;
                         }
                     }
-                    if store.contains(component, w, faults) {
-                        let stale = control.verify_fingerprints
-                            && match store.fingerprint(component, w, faults) {
-                                None => {
-                                    report.legacy_unverified += 1;
-                                    if self.verbose {
-                                        eprintln!(
-                                            "  warning: {component}/{w}/{faults}-bit comes from a \
-                                             pre-integrity checkpoint (no fingerprint); kept as-is"
-                                        );
-                                    }
-                                    false
-                                }
-                                Some(stored) => {
-                                    // An unobtainable current fingerprint
-                                    // (golden run fails today) cannot prove
-                                    // staleness; the row is kept.
-                                    self.current_fingerprint(&mut fingerprints, w)
-                                        .is_some_and(|current| current != stored)
-                                }
-                            };
-                        if !stale {
-                            report.skipped_existing += 1;
-                            if let Some(m) = store
-                                .get(component, w, faults)
-                                .and_then(|r| r.achieved_margin)
-                            {
-                                report.margins.push(((component, w, faults), m));
-                            }
-                            continue;
+                    let key = (component, w, faults);
+                    if store.contains(component, w, faults)
+                        && (!control.verify_fingerprints
+                            || self.keep_checkpointed(
+                                store,
+                                key,
+                                &mut fingerprints,
+                                &mut report.legacy_unverified,
+                                &mut report.stale_rerun,
+                            ))
+                    {
+                        report.skipped_existing += 1;
+                        if let Some(m) = store
+                            .get(component, w, faults)
+                            .and_then(|r| r.achieved_margin)
+                        {
+                            report.margins.push((key, m));
                         }
-                        report.stale_rerun += 1;
-                        if self.verbose {
-                            eprintln!(
-                                "  {component}/{w}/{faults}-bit checkpoint is stale \
-                                 (fingerprint mismatch); re-running"
-                            );
-                        }
+                        continue;
                     }
                     if workload_poisoned {
                         continue;
                     }
-                    let outcome = if self.use_golden_cache {
-                        // One golden (and recording) run per workload,
-                        // shared read-only across every campaign.
-                        self.workload_artifacts(&mut artifacts, w).and_then(|a| {
-                            self.try_campaign_with_artifacts(component, w, faults, &a)
-                        })
-                    } else {
-                        self.try_campaign(component, w, faults)
-                    };
+                    // One golden (and recording) run per workload, shared
+                    // read-only across every campaign.
+                    let outcome = self.workload_artifacts(&mut artifacts, w).and_then(|a| {
+                        self.try_campaign_with_artifacts(component, w, faults, &a)
+                            .map(|r| (r, a))
+                    });
                     match outcome {
-                        Ok(r) => {
+                        Ok((r, a)) => {
                             report.executed += 1;
                             if let Some(m) = r.achieved_margin {
-                                report.margins.push(((component, w, faults), m));
+                                report.margins.push((key, m));
                             }
                             if self.verbose {
                                 eprintln!("  {r}");
@@ -779,14 +764,11 @@ impl Experiments {
                                     eprintln!("  {}", r.anomalies);
                                 }
                             }
-                            // With cached artifacts the fingerprint is
-                            // derived from them — no extra golden run.
-                            let fp = match artifacts.get(&w) {
-                                Some(Ok(a)) => *fingerprints
-                                    .entry(w)
-                                    .or_insert_with(|| Some(self.artifact_fingerprint(a))),
-                                _ => self.current_fingerprint(&mut fingerprints, w),
-                            };
+                            // The fingerprint derives from the shared
+                            // artifacts — no extra golden run.
+                            let fp = *fingerprints
+                                .entry(w)
+                                .or_insert_with(|| Some(self.artifact_fingerprint(&a)));
                             if let Some(path) = checkpoint {
                                 ResultStore::append_row_with(&retry_io, path, &r, fp)?;
                             }
@@ -800,7 +782,7 @@ impl Experiments {
                             // of this workload; don't burn time rediscovering
                             // it twice.
                             workload_poisoned = matches!(e, CampaignError::GoldenRunFailed { .. });
-                            report.failed.push(((component, w, faults), e));
+                            report.failed.push((key, e));
                         }
                     }
                 }
@@ -839,42 +821,24 @@ impl Experiments {
         cfg
     }
 
-    /// The crash-safe equivalence-class campaign driver: enumerates the
-    /// full single-bit fault space of every small structure in
-    /// [`EXHAUSTIVE_COMPONENTS`] by fault-equivalence class (one simulation
-    /// per live class, dead classes pruned `Masked`, margin exactly 0) and
-    /// — when [`Experiments::equiv`] is on — covers the big arrays in
-    /// [`STRATIFIED_COMPONENTS`] with class-weighted stratified sampling.
+    /// The crash-safe equivalence-class campaign driver: every component
+    /// in `exhaustive_components` gets a full single-bit class enumeration
+    /// (one simulation per live class, dead classes pruned `Masked`, margin
+    /// exactly 0), every component in `stratified_components` a
+    /// class-weighted stratified campaign. [`split_equiv_components`]
+    /// derives the two lists from one.
     ///
     /// Results land in `store` under the exhaustive row flavor
     /// ([`ResultStore::insert_exhaustive`]) and flush to `checkpoint` as
     /// they complete, so an interrupted run resumes where it stopped
-    /// exactly like [`Experiments::run_sweep`].
+    /// exactly like [`Experiments::run_sweep`] — stale rows re-run
+    /// ([`EquivReport::stale_rerun`]), rows without a fingerprint are kept
+    /// ([`EquivReport::legacy_unverified`]).
     ///
     /// # Errors
     ///
     /// Only checkpoint I/O aborts the driver; campaign failures are
     /// reported in [`EquivReport::failed`] and skipped.
-    pub fn run_equiv(
-        &self,
-        store: &mut ResultStore,
-        checkpoint: Option<&Path>,
-    ) -> Result<EquivReport, StoreError> {
-        let stratified: &[HwComponent] = if self.equiv {
-            &STRATIFIED_COMPONENTS
-        } else {
-            &[]
-        };
-        self.run_equiv_with(&EXHAUSTIVE_COMPONENTS, stratified, store, checkpoint)
-    }
-
-    /// [`Experiments::run_equiv`] with explicit component sets: every
-    /// component in `exhaustive` gets a full class enumeration, every
-    /// component in `stratified` a class-weighted stratified campaign.
-    ///
-    /// # Errors
-    ///
-    /// Only checkpoint I/O aborts the driver.
     pub fn run_equiv_with(
         &self,
         exhaustive_components: &[HwComponent],
@@ -895,7 +859,16 @@ impl Experiments {
         {
             let exhaustive = i < exhaustive_components.len();
             for &w in &self.workloads {
-                if store.contains(component, w, 1) {
+                let key = (component, w, 1);
+                if store.contains(component, w, 1)
+                    && self.keep_checkpointed(
+                        store,
+                        key,
+                        &mut fingerprints,
+                        &mut report.legacy_unverified,
+                        &mut report.stale_rerun,
+                    )
+                {
                     report.skipped_existing += 1;
                     continue;
                 }
@@ -908,15 +881,12 @@ impl Experiments {
                     &mut report,
                 );
                 match outcome {
-                    Ok((result, meta)) => {
+                    Ok((result, meta, a)) => {
                         report.executed += 1;
                         report.covered_weight = report.covered_weight.saturating_add(meta.weight);
-                        let fp = match artifacts.get(&w) {
-                            Some(Ok(a)) => *fingerprints
-                                .entry(w)
-                                .or_insert_with(|| Some(self.artifact_fingerprint(a))),
-                            _ => self.current_fingerprint(&mut fingerprints, w),
-                        };
+                        let fp = *fingerprints
+                            .entry(w)
+                            .or_insert_with(|| Some(self.artifact_fingerprint(&a)));
                         if self.verbose {
                             eprintln!(
                                 "  {result} [{} classes over {} bit-cycles]",
@@ -938,7 +908,7 @@ impl Experiments {
                         if self.verbose {
                             eprintln!("  {component}/{w}/1-bit failed: {e}");
                         }
-                        report.failed.push(((component, w, 1), e));
+                        report.failed.push((key, e));
                     }
                 }
             }
@@ -946,8 +916,9 @@ impl Experiments {
         Ok(report)
     }
 
-    /// Runs one equivalence-class campaign (exhaustive or stratified) and
-    /// returns the population-weighted result plus its store metadata.
+    /// Runs one equivalence-class campaign (exhaustive or stratified)
+    /// against the workload's shared golden artifacts and returns the
+    /// population-weighted result, its store metadata and the artifacts.
     fn run_equiv_campaign(
         &self,
         component: HwComponent,
@@ -956,33 +927,25 @@ impl Experiments {
         exhaustive: bool,
         artifacts: &mut BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>>,
         report: &mut EquivReport,
-    ) -> Result<(CampaignResult, ExhaustiveMeta), CampaignError> {
+    ) -> Result<(CampaignResult, ExhaustiveMeta, Arc<GoldenArtifacts>), CampaignError> {
         let plan = ExhaustivePlan::try_new(self.equiv_config(component, workload), spec)?;
-        let shared = if self.use_golden_cache {
-            Some(self.workload_artifacts(artifacts, workload)?)
-        } else {
-            None
-        };
-        if exhaustive {
-            let r = plan.run(shared.as_deref())?;
-            report.simulated += r.simulated;
+        let shared = self.workload_artifacts(artifacts, workload)?;
+        let (campaign, classes, population) = if exhaustive {
+            let r = plan.run(Some(&shared))?;
             report.pruned_weight = report.pruned_weight.saturating_add(r.pruned_weight);
-            let meta = ExhaustiveMeta {
-                classes: r.simulated,
-                weight: r.coverage.population,
-            };
-            Ok((r.campaign, meta))
+            (r.campaign, r.simulated, r.coverage.population)
         } else {
-            let r = plan.run_stratified(self.stratified_spec(), shared.as_deref())?;
-            report.simulated += r.simulated;
+            let r = plan.run_stratified(self.stratified_spec(), Some(&shared))?;
             report.pruned_weight = report.pruned_weight.saturating_add(r.coverage.dead_weight);
             report.stratified_draws += r.draws;
-            let meta = ExhaustiveMeta {
-                classes: r.simulated,
-                weight: r.coverage.population,
-            };
-            Ok((r.campaign, meta))
-        }
+            (r.campaign, r.simulated, r.coverage.population)
+        };
+        report.simulated += classes;
+        let meta = ExhaustiveMeta {
+            classes,
+            weight: population,
+        };
+        Ok((campaign, meta, shared))
     }
 
     /// Renders the equivalence-class campaigns the store holds — one row
@@ -2063,28 +2026,15 @@ mod tests {
 
     #[test]
     fn equiv_env_knobs_parse_and_reject_typed() {
-        // Defaults: off, with the documented class cap.
+        // Defaults: the documented class cap.
         let e = Experiments::default();
-        assert!(!e.equiv);
         assert_eq!(e.exhaustive_max_classes, DEFAULT_MAX_CLASSES);
         // Valid values round-trip.
-        std::env::set_var("MBU_EQUIV", "on");
         std::env::set_var("MBU_EXHAUSTIVE_MAX_CLASSES", "1234");
         let e = Experiments::try_from_env().unwrap();
-        assert!(e.equiv);
         assert_eq!(e.exhaustive_max_classes, 1234);
         // Invalid values are typed errors naming the variable — never a
         // silent fallback to the default.
-        std::env::set_var("MBU_EQUIV", "maybe");
-        assert_eq!(
-            Experiments::try_from_env().unwrap_err(),
-            ConfigError::Invalid {
-                var: "MBU_EQUIV",
-                value: "maybe".into(),
-                expected: "must be on/off",
-            }
-        );
-        std::env::set_var("MBU_EQUIV", "off");
         std::env::set_var("MBU_EXHAUSTIVE_MAX_CLASSES", "lots");
         assert_eq!(
             Experiments::try_from_env().unwrap_err(),
@@ -2104,11 +2054,59 @@ mod tests {
                 expected: "must be a positive integer",
             }
         );
-        std::env::remove_var("MBU_EQUIV");
         std::env::remove_var("MBU_EXHAUSTIVE_MAX_CLASSES");
         let e = Experiments::try_from_env().unwrap();
-        assert!(!e.equiv);
         assert_eq!(e.exhaustive_max_classes, DEFAULT_MAX_CLASSES);
+    }
+
+    #[test]
+    fn equiv_components_split_by_structure_in_list_order() {
+        let (ex, strat) = split_equiv_components(&[
+            HwComponent::L2,
+            HwComponent::DTlb,
+            HwComponent::L1D,
+            HwComponent::ITlb,
+        ]);
+        assert_eq!(ex, vec![HwComponent::DTlb, HwComponent::ITlb]);
+        assert_eq!(strat, vec![HwComponent::L2, HwComponent::L1D]);
+        let (ex, strat) = split_equiv_components(&EXHAUSTIVE_COMPONENTS);
+        assert_eq!(ex, EXHAUSTIVE_COMPONENTS.to_vec());
+        assert!(strat.is_empty());
+        let (ex, strat) = split_equiv_components(&STRATIFIED_COMPONENTS);
+        assert!(ex.is_empty());
+        assert_eq!(strat, STRATIFIED_COMPONENTS.to_vec());
+    }
+
+    /// A resumed equivalence-class checkpoint obeys the sampled sweep's
+    /// rule: a row stamped by other binaries re-runs, an unstamped row is
+    /// kept and flagged.
+    #[test]
+    fn equiv_driver_reruns_stale_rows_and_keeps_legacy_ones() {
+        let e = tiny();
+        let (c, w) = (HwComponent::L2, Workload::Stringsearch);
+        let mut store = ResultStore::new();
+        let first = e.run_equiv_with(&[], &[c], &mut store, None).unwrap();
+        assert_eq!(first.executed, 1);
+        let row = store.get(c, w, 1).unwrap().clone();
+        let meta = store.exhaustive_meta(c, w, 1).unwrap();
+        let true_fp = store.fingerprint(c, w, 1).expect("the driver stamps rows");
+
+        let mut stale = ResultStore::new();
+        stale.insert_exhaustive(row.clone(), meta, Some(GoldenFingerprint(0xDEAD_BEEF)));
+        let report = e.run_equiv_with(&[], &[c], &mut stale, None).unwrap();
+        assert_eq!(report.stale_rerun, 1, "the stale row is re-run");
+        assert_eq!((report.executed, report.skipped_existing), (1, 0));
+        assert_eq!(report.legacy_unverified, 0);
+        assert_eq!(stale.get(c, w, 1).unwrap().counts, row.counts);
+        assert_eq!(stale.fingerprint(c, w, 1), Some(true_fp));
+
+        let mut legacy = ResultStore::new();
+        legacy.insert_exhaustive(row, meta, None);
+        let report = e.run_equiv_with(&[], &[c], &mut legacy, None).unwrap();
+        assert_eq!(report.legacy_unverified, 1, "the legacy row is kept");
+        assert_eq!((report.executed, report.skipped_existing), (0, 1));
+        assert_eq!(report.stale_rerun, 0);
+        assert_eq!(legacy.fingerprint(c, w, 1), None);
     }
 
     #[test]

@@ -641,7 +641,6 @@ pub fn spec_experiments(spec: &crate::protocol::ExpSpec, workload: Workload) -> 
         use_snapshots: spec.use_snapshots,
         snapshot_interval: spec.snapshot_interval,
         snapshot_mem_mb: spec.snapshot_mem_mb,
-        use_golden_cache: spec.use_golden_cache,
         ..Experiments::default()
     }
 }
@@ -690,27 +689,18 @@ fn run_unit(
             started.fetch_add(1, Ordering::Relaxed);
         });
     let campaign = Campaign::try_new(cfg)?;
-    let shared = if exp.use_golden_cache {
-        let key = (
-            unit.workload,
-            exp.use_snapshots,
-            exp.snapshot_interval,
-            exp.snapshot_mem_mb,
-        );
-        Some(
-            artifacts
-                .entry(key)
-                .or_insert_with(|| campaign.build_artifacts().map(Arc::new))
-                .clone()?,
-        )
-    } else {
-        None
-    };
-    let result = campaign.try_run_range_with_artifacts(unit.range(), shared.as_deref())?;
-    let fingerprint = match &shared {
-        Some(a) => exp.artifact_fingerprint(a),
-        None => golden_fingerprint(exp.core, unit.workload)?,
-    };
+    let key = (
+        unit.workload,
+        exp.use_snapshots,
+        exp.snapshot_interval,
+        exp.snapshot_mem_mb,
+    );
+    let shared = artifacts
+        .entry(key)
+        .or_insert_with(|| campaign.build_artifacts().map(Arc::new))
+        .clone()?;
+    let result = campaign.try_run_range_with_artifacts(unit.range(), Some(&shared))?;
+    let fingerprint = exp.artifact_fingerprint(&shared);
     // An adaptive campaign may stop early; the row covers exactly the
     // runs that were classified.
     let executed = result.counts.total() as usize;
@@ -982,6 +972,7 @@ where
                         {
                             break Ok(());
                         }
+                        chaos.on_unit_acked();
                     }
                     Err(err) => {
                         if send(&ToSupervisor::Fail {

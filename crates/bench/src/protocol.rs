@@ -136,8 +136,6 @@ pub struct ExpSpec {
     pub snapshot_interval: Option<u64>,
     /// Snapshot memory cap, in MiB.
     pub snapshot_mem_mb: Option<u64>,
-    /// Sweep-wide golden-artifact cache (per-process in a worker).
-    pub use_golden_cache: bool,
     /// Equivalence-class dispatch: `Some` turns the assigned unit's
     /// `[start, end)` into a *class range* over the campaign's dense live
     /// order (or a whole-campaign stratified sampler) instead of a run
@@ -270,7 +268,6 @@ impl ExpSpec {
             ("snapshots".into(), Json::Bool(self.use_snapshots)),
             ("snap_interval".into(), opt_u64(self.snapshot_interval)),
             ("snap_mem_mb".into(), opt_u64(self.snapshot_mem_mb)),
-            ("golden_cache".into(), Json::Bool(self.use_golden_cache)),
             (
                 "equiv".into(),
                 match self.equiv {
@@ -304,7 +301,6 @@ impl ExpSpec {
             use_snapshots: get_bool(v, "snapshots")?,
             snapshot_interval: get_opt_u64(v, "snap_interval")?,
             snapshot_mem_mb: get_opt_u64(v, "snap_mem_mb")?,
-            use_golden_cache: get_bool(v, "golden_cache")?,
             equiv: match v.get("equiv") {
                 None | Some(Json::Null) => None,
                 Some(e) => Some(EquivSpec::from_json(e)?),
@@ -715,7 +711,6 @@ mod tests {
                 use_snapshots: true,
                 snapshot_interval: Some(5_000),
                 snapshot_mem_mb: Some(64),
-                use_golden_cache: true,
                 equiv: None,
             },
         };
@@ -745,7 +740,6 @@ mod tests {
                     use_snapshots: true,
                     snapshot_interval: None,
                     snapshot_mem_mb: None,
-                    use_golden_cache: true,
                     equiv: Some(EquivSpec {
                         exhaustive: ExhaustiveSpec {
                             rep_seed: 3,
@@ -831,7 +825,6 @@ mod tests {
                 use_snapshots: false,
                 snapshot_interval: None,
                 snapshot_mem_mb: None,
-                use_golden_cache: false,
                 equiv: None,
             },
         };

@@ -20,7 +20,7 @@
 use crate::experiments::{env_value, parse_env, ConfigError, Experiments};
 use crate::store::component_slug;
 use crate::supervisor::{FabricConfig, FabricEvent, Supervisor, SweepOptions, WorkerPool};
-use crate::{ResultStore, EXHAUSTIVE_COMPONENTS, STRATIFIED_COMPONENTS};
+use crate::{split_equiv_components, ResultStore, EXHAUSTIVE_COMPONENTS};
 use mbu_cpu::HwComponent;
 use mbu_gefin::json::Json;
 use mbu_serve::{
@@ -183,7 +183,9 @@ impl SweepBackend {
 
     /// Rebuilds the experiment configuration from a canonical spec. The
     /// final `bool` is true for exhaustive-mode jobs; specs persisted by
-    /// daemons that predate the `mode` field parse as measure.
+    /// daemons that predate the `mode` field parse as measure, and the
+    /// `snapshots` switch older daemons stored is ignored (results are
+    /// identical either way, and snapshots are always on).
     fn exp_from_spec(
         &self,
         spec: &Json,
@@ -202,10 +204,6 @@ impl SweepBackend {
             .get("cardinality")
             .and_then(Json::as_usize)
             .ok_or_else(|| bad("cardinality"))?;
-        exp.use_snapshots = spec
-            .get("snapshots")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("snapshots"))?;
         exp.workloads = spec
             .get("workloads")
             .and_then(Json::as_arr)
@@ -274,14 +272,13 @@ impl JobBackend for SweepBackend {
         let Json::Obj(fields) = body else {
             return Err(ApiError::bad_request("submission must be a JSON object"));
         };
-        const KNOWN: [&str; 8] = [
+        const KNOWN: [&str; 7] = [
             "title",
             "components",
             "workloads",
             "runs",
             "seed",
             "cardinality",
-            "snapshots",
             "mode",
         ];
         for (key, _) in fields {
@@ -383,12 +380,6 @@ impl JobBackend for SweepBackend {
                 }
             },
         };
-        let snapshots = match body.get("snapshots") {
-            None => self.base.use_snapshots,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| ApiError::bad_request("snapshots must be a boolean"))?,
-        };
         let title = match body.get("title") {
             None => format!(
                 "{} component(s) x {} workload(s) x {runs} runs",
@@ -420,7 +411,6 @@ impl JobBackend for SweepBackend {
             ("runs".into(), Json::usize(runs)),
             ("seed".into(), Json::u64(seed)),
             ("cardinality".into(), Json::usize(cardinality)),
-            ("snapshots".into(), Json::Bool(snapshots)),
             ("mode".into(), Json::str(mode)),
         ]);
         Ok(Submission { title, spec })
@@ -486,16 +476,7 @@ impl JobBackend for SweepBackend {
             // structures, stratified on the big arrays. A job runs in one
             // mode for its whole life, so its private shard dir never
             // mixes run-range and class-range flavors.
-            let ex: Vec<HwComponent> = components
-                .iter()
-                .copied()
-                .filter(|c| EXHAUSTIVE_COMPONENTS.contains(c))
-                .collect();
-            let strat: Vec<HwComponent> = components
-                .iter()
-                .copied()
-                .filter(|c| STRATIFIED_COMPONENTS.contains(c))
-                .collect();
+            let (ex, strat) = split_equiv_components(&components);
             Supervisor::run_equiv(
                 &exp,
                 &ex,
@@ -769,7 +750,7 @@ mod tests {
     fn validate_resolves_every_knob() {
         let b = backend();
         let body = Json::parse(
-            r#"{"components":["l1d","itlb"],"workloads":["qsort"],"runs":6,"seed":7,"cardinality":2,"snapshots":true}"#,
+            r#"{"components":["l1d","itlb"],"workloads":["qsort"],"runs":6,"seed":7,"cardinality":2}"#,
         )
         .unwrap();
         let sub = b.validate(&body).unwrap();
@@ -778,9 +759,13 @@ mod tests {
         assert_eq!(exp.runs, 6);
         assert_eq!(exp.seed, 7);
         assert_eq!(exp.max_cardinality, 2);
-        assert!(exp.use_snapshots);
+        assert!(exp.use_snapshots, "snapshots are the default path");
         assert!(!exhaustive);
         assert_eq!(exp.workloads, vec![Workload::Qsort]);
+        assert!(
+            sub.spec.get("snapshots").is_none(),
+            "the canonical spec no longer carries the retired switch"
+        );
     }
 
     #[test]
@@ -810,6 +795,17 @@ mod tests {
         )
         .unwrap();
         assert!(!b.exp_from_spec(&legacy).unwrap().2);
+        // A spec stored with the retired `snapshots` switch (either value)
+        // still loads, so its job resumes; the switch itself is ignored.
+        for stored in [
+            r#"{"components":["itlb","l2"],"workloads":["qsort"],"runs":2,"seed":1,"cardinality":1,"snapshots":false,"mode":"exhaustive"}"#,
+            r#"{"components":["l1d"],"workloads":["qsort"],"runs":2,"seed":1,"cardinality":2,"snapshots":true,"mode":"measure"}"#,
+        ] {
+            let (exp, components, _) = b.exp_from_spec(&Json::parse(stored).unwrap()).unwrap();
+            assert!(exp.use_snapshots, "{stored}");
+            assert_eq!(exp.runs, 2);
+            assert!(!components.is_empty());
+        }
     }
 
     #[test]
@@ -826,7 +822,9 @@ mod tests {
             (r#"{"workloads":["nope"]}"#, "unknown workload"),
             (r#"{"runs":0}"#, "positive"),
             (r#"{"cardinality":9}"#, "1..=8"),
-            (r#"{"snapshots":"maybe"}"#, "boolean"),
+            // The retired switch is an unknown field like any other.
+            (r#"{"snapshots":true}"#, "unknown field `snapshots`"),
+            (r#"{"snapshots":false}"#, "unknown field `snapshots`"),
             (r#"{"mode":"banana"}"#, "measure"),
             (r#"{"mode":7}"#, "measure"),
             (

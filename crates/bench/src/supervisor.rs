@@ -725,8 +725,8 @@ pub struct Supervisor<'a> {
     next_unit_id: u64,
     report: FabricReport,
     can_respawn: bool,
-    /// The chaos target parsed from `MBU_CHAOS_WORKER`, armed once.
-    chaos_target: Option<(usize, String)>,
+    /// The chaos targets parsed from `MBU_CHAOS_WORKER`, each armed once.
+    chaos_targets: Vec<(usize, String)>,
     /// Event sink and cancellation flag.
     opts: SweepOptions,
     /// Late TCP connections (rejoining workers) arrive here from the
@@ -896,7 +896,7 @@ impl<'a> Supervisor<'a> {
             next_unit_id: 0,
             report: FabricReport::default(),
             can_respawn: matches!(pool, WorkerPool::Spawn),
-            chaos_target: crate::chaos::WorkerChaos::target_from_env(),
+            chaos_targets: crate::chaos::WorkerChaos::targets_from_env(),
             opts,
             conn_rx: None,
             respawn_deficit: 0,
@@ -1203,7 +1203,6 @@ impl<'a> Supervisor<'a> {
             use_snapshots: self.exp.use_snapshots,
             snapshot_interval: self.exp.snapshot_interval,
             snapshot_mem_mb: self.exp.snapshot_mem_mb,
-            use_golden_cache: self.exp.use_golden_cache,
             equiv,
         }
     }
@@ -1212,9 +1211,9 @@ impl<'a> Supervisor<'a> {
         self.shard_dir.join(format!("worker-{slot:03}.csv"))
     }
 
-    /// Spawns one local worker process, arming the chaos fault if this is
-    /// the targeted index's *first* spawn (replacements never inherit it,
-    /// so a kill fault cannot loop).
+    /// Spawns one local worker process, arming the chaos fault aimed at
+    /// its slot index. Every spawn takes a fresh index and each fault is
+    /// armed once, so a kill fault cannot loop.
     fn spawn_worker(&mut self) -> Result<(), FabricError> {
         let index = self.slots.len();
         let exe = std::env::current_exe()?;
@@ -1231,12 +1230,10 @@ impl<'a> Supervisor<'a> {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        if let Some((target, fault)) = &self.chaos_target {
-            if *target == index {
-                cmd.env(crate::chaos::WORKER_FAULT_ENV, fault);
-                // Armed exactly once.
-                self.chaos_target = None;
-            }
+        if let Some(at) = self.chaos_targets.iter().position(|(t, _)| *t == index) {
+            // Armed exactly once.
+            let (_, fault) = self.chaos_targets.remove(at);
+            cmd.env(crate::chaos::WORKER_FAULT_ENV, fault);
         }
         let mut child = cmd.spawn()?;
         let stdout = child.stdout.take().expect("stdout was piped");

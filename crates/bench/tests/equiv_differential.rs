@@ -10,10 +10,14 @@
 //! debug-friendly; the `#[ignore]`d test widens the windows and sweeps
 //! ITLB + PRF across three workloads for the release-mode CI equiv job
 //! (`cargo test -p mbu-bench --release --test equiv_differential -- --ignored`).
+//!
+//! The suite also pins the stratified sampler's run-count economics on the
+//! big arrays against the paper's uniform 2 000-run protocol.
 
 use mbu_cpu::HwComponent;
 use mbu_gefin::campaign::{Campaign, CampaignConfig};
-use mbu_gefin::{ClassOutcome, ExhaustivePlan, ExhaustiveSpec};
+use mbu_gefin::stats::{error_margin, Z_99};
+use mbu_gefin::{ClassOutcome, ExhaustivePlan, ExhaustiveSpec, StratifiedSpec};
 use mbu_workloads::Workload;
 
 fn plan(
@@ -172,6 +176,37 @@ fn every_member_of_a_class_matches_its_representative() {
                 class.id
             );
         }
+    }
+}
+
+/// Run-count economics of the class-weighted stratified sampler: under the
+/// paper's stopping rule, each big array reaches a whole-population margin
+/// no worse than the paper's uniform 2 000-run protocol would over the
+/// same fault population (finite-population margin at worst-case p = 0.5,
+/// 99 % confidence), with at least 5× fewer distinct simulations. The
+/// margin is computed, not re-run: the formula is what sizes the uniform
+/// campaign in the first place.
+#[test]
+fn stratified_big_arrays_beat_uniform_2000_run_margin_with_5x_fewer_sims() {
+    const BASELINE_RUNS: u64 = 2000;
+    let w = Workload::Stringsearch;
+    for component in [HwComponent::L1D, HwComponent::L1I, HwComponent::L2] {
+        let r = plan(w, component, ExhaustiveSpec::default(), 0, true)
+            .run_stratified(StratifiedSpec::paper(), None)
+            .expect("stratified campaign");
+        let population = r.coverage.population;
+        let baseline = error_margin(population, BASELINE_RUNS.min(population), Z_99, 0.5)
+            .expect("baseline margin over a nonempty population");
+        let achieved = r.campaign.achieved_margin.expect("stratified margin");
+        assert!(
+            achieved <= baseline,
+            "{component}/{w}: margin {achieved} misses the uniform baseline {baseline}"
+        );
+        assert!(
+            r.simulated * 5 <= BASELINE_RUNS,
+            "{component}/{w}: {} distinct simulations is not 5x fewer than {BASELINE_RUNS}",
+            r.simulated
+        );
     }
 }
 

@@ -50,9 +50,7 @@ fn run_exhaustive(
     }
     cmd.env_remove("MBU_CHAOS_WORKER")
         .env_remove("MBU_CHAOS_FAULT")
-        .env_remove("MBU_EQUIV")
-        .env("MBU_WORKLOADS", WORKLOAD)
-        .env("MBU_SNAPSHOTS", "on");
+        .env("MBU_WORKLOADS", WORKLOAD);
     if let Some(spec) = chaos {
         cmd.env("MBU_CHAOS_WORKER", spec);
     }

@@ -1,59 +1,68 @@
 //! Differential validation of the sweep-wide golden-artifact cache: a sweep
 //! that builds each workload's golden output and snapshot store once and
 //! shares them across campaigns must produce *bit-identical* campaign
-//! results — and byte-identical v2 checkpoint rows — to the bypass path
-//! where every campaign re-runs its own golden execution. The cache may
-//! only change wall-clock, never results, under any thread count.
+//! results — and byte-identical v2 checkpoint rows — to campaigns that
+//! each re-run their own golden execution. The cache may only change
+//! wall-clock, never results, under any thread count.
 
-use mbu_bench::{Experiments, ResultStore};
+use mbu_bench::{Experiments, RealIo, ResultStore};
 use mbu_cpu::{CoreConfig, HwComponent};
-use mbu_gefin::campaign::{AnomalyKind, Campaign, CampaignConfig};
+use mbu_gefin::campaign::{Campaign, CampaignConfig};
 use mbu_gefin::error::CampaignError;
-use mbu_gefin::SnapshotSpec;
+use mbu_gefin::{golden_fingerprint, SnapshotSpec};
 use mbu_workloads::Workload;
 
 mod common;
 
 const COMPONENTS: [HwComponent; 3] = [HwComponent::RegFile, HwComponent::L2, HwComponent::DTlb];
 
-fn sweeper(use_golden_cache: bool, threads: usize) -> Experiments {
+fn sweeper(threads: usize) -> Experiments {
     Experiments {
         runs: 6,
         threads,
         workloads: vec![Workload::Stringsearch],
         use_snapshots: true,
-        use_golden_cache,
         ..Experiments::default()
     }
 }
 
 /// Three components × three cardinalities over one shared workload, with
-/// snapshots enabled: the cached sweep (one golden + recording run total)
-/// and the bypass sweep (one pair per campaign) classify every run
-/// identically, serialize byte-identical checkpoint files, and differ only
-/// in the sweep-level bypass anomaly.
+/// snapshots enabled: the sweep (one golden + recording run in total) and
+/// a bypass that runs every campaign through `Campaign::try_run` (one
+/// golden + recording pair per campaign) and checkpoints it row by row
+/// classify every run identically and write byte-identical checkpoint
+/// files.
 #[test]
 fn cached_sweep_is_bit_identical_to_bypass_sweep() {
+    let e = sweeper(0);
+    let w = Workload::Stringsearch;
     let dir = common::tmpdir("gcache");
     let on_path = dir.join("cache_on.csv");
     let off_path = dir.join("cache_off.csv");
 
     let mut on_store = ResultStore::new();
-    let on_report = sweeper(true, 0)
+    let on_report = e
         .run_sweep(&COMPONENTS, &mut on_store, Some(&on_path))
         .unwrap();
-    let mut off_store = ResultStore::new();
-    let off_report = sweeper(false, 0)
-        .run_sweep(&COMPONENTS, &mut off_store, Some(&off_path))
-        .unwrap();
-
     assert_eq!(on_report.executed, 9, "3 components x 3 cardinalities");
-    assert_eq!(off_report.executed, 9);
-    assert!(on_report.is_clean() && off_report.is_clean());
+    assert!(on_report.is_clean());
+
+    // The bypass: private golden runs, rows stamped with the fingerprint
+    // of yet another independent golden run.
+    let fp = Some(golden_fingerprint(e.core, w).unwrap());
+    let mut off_store = ResultStore::new();
     for &c in &COMPONENTS {
         for faults in 1..=3 {
-            let a = on_store.get(c, Workload::Stringsearch, faults).unwrap();
-            let b = off_store.get(c, Workload::Stringsearch, faults).unwrap();
+            let r = e.try_campaign(c, w, faults).unwrap();
+            ResultStore::append_row_with(&RealIo, &off_path, &r, fp).unwrap();
+            off_store.insert_with_fingerprint(r, fp);
+        }
+    }
+
+    for &c in &COMPONENTS {
+        for faults in 1..=3 {
+            let a = on_store.get(c, w, faults).unwrap();
+            let b = off_store.get(c, w, faults).unwrap();
             assert_eq!(a, b, "{c}/{faults}-bit: campaign results diverged");
             assert_eq!(a.anomalies, b.anomalies, "{c}/{faults}-bit: anomaly logs");
         }
@@ -68,16 +77,6 @@ fn cached_sweep_is_bit_identical_to_bypass_sweep() {
         std::fs::read(&off_path).unwrap(),
         "on-disk checkpoint files must be byte-identical"
     );
-    // The only sweep-level difference: bypassing is logged as an anomaly.
-    assert!(
-        on_report.anomalies.is_empty(),
-        "a cached sweep logs no bypass anomaly"
-    );
-    assert_eq!(off_report.anomalies.len(), 1);
-    assert_eq!(
-        off_report.anomalies.entries()[0].kind,
-        AnomalyKind::GoldenCacheBypass
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -86,11 +85,11 @@ fn cached_sweep_is_bit_identical_to_bypass_sweep() {
 #[test]
 fn cached_sweep_is_identical_across_thread_counts() {
     let mut one_store = ResultStore::new();
-    sweeper(true, 1)
+    sweeper(1)
         .run_sweep(&COMPONENTS, &mut one_store, None)
         .unwrap();
     let mut four_store = ResultStore::new();
-    sweeper(true, 4)
+    sweeper(4)
         .run_sweep(&COMPONENTS, &mut four_store, None)
         .unwrap();
     assert_eq!(

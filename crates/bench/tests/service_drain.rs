@@ -6,7 +6,9 @@
 //!
 //! The second test runs the acceptance combo: disk-watermark breach,
 //! a scripted worker death, and a slow-loris client all at once, then
-//! SIGTERMs the daemon under that load.
+//! SIGTERMs the daemon under that load. A chaos gate parks the
+//! replacement worker until the breach has surfaced, so the job cannot
+//! finish first however fast the host is.
 
 use mbu_bench::{Experiments, Json, ResultStore};
 use mbu_cpu::HwComponent;
@@ -194,8 +196,7 @@ fn wait_first_unit(addr: &str, id: &str) {
 }
 
 /// Blocks until `/healthz` reports `draining: true` (the SIGTERM watcher
-/// tick is 50 ms; this races only the whole drain, which holds an
-/// in-flight unit for seconds).
+/// tick is 50 ms; the drain itself waits for a parked in-flight unit).
 fn wait_draining(addr: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -222,7 +223,14 @@ fn sigterm_drains_parks_and_restart_finishes_byte_identical() {
         ("MBU_RUNS", "6"),
         ("MBU_DRAIN_TIMEOUT_SECS", "120"),
     ];
-    let mut daemon = Daemon::boot(&dir, &env);
+    // The worker parks after its first acknowledged unit until the gate
+    // opens, holding its next unit in flight: the drain cannot finish
+    // (and the daemon cannot exit) before the test has observed it.
+    let gate = dir.join("release-worker-0");
+    let park = format!("0:park-after-unit:1:{}", gate.display());
+    let mut gated = env.to_vec();
+    gated.push(("MBU_CHAOS_WORKER", park.as_str()));
+    let mut daemon = Daemon::boot(&dir, &gated);
     let id = submit(&daemon.addr, r#"{"components":["l1d","regfile"],"runs":6}"#);
     wait_first_unit(&daemon.addr, &id);
 
@@ -239,6 +247,7 @@ fn sigterm_drains_parks_and_restart_finishes_byte_identical() {
     assert!(msg.contains("draining"), "503 must name the drain: {msg}");
 
     // Clean exit inside the budget, with the typed drain lines logged.
+    std::fs::write(&gate, "").unwrap();
     let status = daemon.wait_exit(Duration::from_secs(120));
     assert_eq!(status.code(), Some(0), "drain must exit 0: {status:?}");
     let log = daemon.stderr_log();
@@ -285,6 +294,11 @@ fn drain_under_combined_chaos_loses_nothing() {
     let disk_file = dir.join("fake-free-mb");
     std::fs::write(&disk_file, "100000").unwrap();
     let disk_file_str = disk_file.to_str().unwrap().to_string();
+    let gate = dir.join("release-worker-1");
+    let worker_chaos = format!(
+        "0:die-after-persist:1,1:park-after-unit:1:{}",
+        gate.display()
+    );
     let chaos_env = [
         ("MBU_HTTP_MAX_JOBS", "1"),
         ("MBU_WORKERS", "1"),
@@ -293,9 +307,11 @@ fn drain_under_combined_chaos_loses_nothing() {
         ("MBU_HTTP_TIMEOUT_SECS", "3"),
         ("MBU_DISK_WATERMARK_MB", "500"),
         ("MBU_CHAOS_DISK_FILE", disk_file_str.as_str()),
-        // Worker 0 dies after persisting one unit without acking it; the
-        // respawned replacement recovers the row from the shard.
-        ("MBU_CHAOS_WORKER", "0:die-after-persist:1"),
+        // Worker 0 dies after persisting one unit without acking it; its
+        // replacement (worker 1) re-runs the unit, acks it, and parks
+        // until the gate opens — so the job is provably still in flight
+        // when the watermark breach lands, on any host speed.
+        ("MBU_CHAOS_WORKER", worker_chaos.as_str()),
     ];
     let mut daemon = Daemon::boot(&dir, &chaos_env);
     let id = submit(&daemon.addr, r#"{"components":["l1d"],"runs":6}"#);
@@ -317,6 +333,9 @@ fn drain_under_combined_chaos_loses_nothing() {
         );
         std::thread::sleep(Duration::from_millis(100));
     }
+    // Dispatch is paused now; release the parked worker so the drain has
+    // nothing held back.
+    std::fs::write(&gate, "").unwrap();
 
     // A slow-loris holds a socket open across the drain.
     let mut loris = std::net::TcpStream::connect(&daemon.addr).unwrap();

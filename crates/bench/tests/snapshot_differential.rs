@@ -72,6 +72,7 @@ fn checkpoint_csv_rows_are_byte_identical() {
     let e = Experiments {
         runs: 8,
         workloads: WORKLOADS.to_vec(),
+        use_snapshots: false,
         ..Experiments::default()
     };
     for &workload in &WORKLOADS {
@@ -139,6 +140,7 @@ fn experiments_snapshot_knobs_degrade_gracefully() {
     let plain = Experiments {
         runs: 10,
         workloads: vec![workload],
+        use_snapshots: false,
         ..Experiments::default()
     };
     let mut capped = plain.clone();

@@ -345,10 +345,6 @@ pub enum AnomalyKind {
     /// to a sparser checkpoint interval (campaign-level, logged as run 0;
     /// classifications are unaffected, only the fast-forward granularity).
     SnapshotMemCap,
-    /// The sweep-wide golden-artifact cache was disabled (`MBU_GOLDEN_CACHE`
-    /// off), so every campaign re-ran its own golden execution (sweep-level,
-    /// logged as run 0; classifications are unaffected, only wall-clock).
-    GoldenCacheBypass,
     /// A distributed-sweep worker process died (exited, was killed, or its
     /// connection broke) while a work unit was in flight; the unit was
     /// retried on a surviving worker (fabric-level, logged with the unit's
@@ -384,7 +380,6 @@ impl fmt::Display for AnomalyKind {
             AnomalyKind::Panic => f.write_str("panic"),
             AnomalyKind::WallClock => f.write_str("wall-clock"),
             AnomalyKind::SnapshotMemCap => f.write_str("snapshot-mem-cap"),
-            AnomalyKind::GoldenCacheBypass => f.write_str("golden-cache-bypass"),
             AnomalyKind::WorkerLost => f.write_str("worker-lost"),
             AnomalyKind::WorkerStall => f.write_str("worker-stall"),
             AnomalyKind::ProtocolGarbage => f.write_str("protocol-garbage"),
