@@ -57,8 +57,9 @@
 //!                    (L1D/L1I/L2) is covered by class-weighted stratified
 //!                    sampling; --workers N (or --listen <addr>) shards
 //!                    each campaign by live-class range over the
-//!                    distributed fabric — class-range shards land in
-//!                    shards-equiv/ and the flavor-aware merge is
+//!                    distributed fabric — into the shards/ directory
+//!                    `sweep` uses, each row's flavour keeping the two
+//!                    kinds of sweep apart — and the merge is
 //!                    bit-identical to the single-process sweep
 //!   all              everything in paper order
 //!
@@ -76,9 +77,7 @@
 //! ```
 
 use mbu_bench::supervisor::{FabricConfig, FabricReport, Supervisor, SweepOptions, WorkerPool};
-use mbu_bench::{
-    split_equiv_components, AnalyticalStore, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS,
-};
+use mbu_bench::{AnalyticalStore, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS};
 use mbu_cpu::HwComponent;
 use mbu_gefin::paper;
 use mbu_gefin::report::Table;
@@ -671,11 +670,6 @@ fn run(opts: &Options) -> Result<(), String> {
                 .parent()
                 .unwrap_or_else(|| std::path::Path::new("results"));
             let path = dir.join("exhaustive.csv");
-            let mut store = if path.exists() {
-                ResultStore::load(&path).map_err(|err| err.to_string())?
-            } else {
-                ResultStore::new()
-            };
             eprintln!(
                 "exhaustive equivalence-class campaigns: {} workload(s), one run per live class",
                 e.workloads.len()
@@ -692,22 +686,19 @@ fn run(opts: &Options) -> Result<(), String> {
                     .map_err(|err| err.to_string())?,
                 None => EXHAUSTIVE_COMPONENTS.to_vec(),
             };
-            let (ex, strat) = split_equiv_components(&components);
+            let campaigns = e.class_campaigns(&components);
             if opts.workers.is_some() || opts.listen.is_some() {
-                // Distributed: shard each exhaustive campaign by class
-                // range over supervised workers; the merged store is
-                // byte-identical to the single-process path below.
+                // Distributed: shard each campaign by class range over
+                // supervised workers; the merged store is byte-identical
+                // to the single-process path below.
                 let mut config = FabricConfig::from_env().map_err(|err| err.to_string())?;
                 if let Some(w) = opts.workers {
                     config.workers = w;
                 }
                 config.verbose = true;
-                // Class-range shards never share a directory with
-                // run-range shards: same campaign key, different flavor.
-                let shard_dir = opts
-                    .shards
-                    .clone()
-                    .unwrap_or_else(|| dir.join("shards-equiv"));
+                // The shard directory `repro sweep` uses: each row's
+                // flavour keeps the two kinds of sweep apart.
+                let shard_dir = opts.shards.clone().unwrap_or_else(|| dir.join("shards"));
                 let pool = match &opts.listen {
                     Some(addr) => {
                         let listener = std::net::TcpListener::bind(addr)
@@ -716,10 +707,9 @@ fn run(opts: &Options) -> Result<(), String> {
                     }
                     None => WorkerPool::Spawn,
                 };
-                let (dist_store, fabric_report) = Supervisor::run_equiv(
+                let (dist_store, fabric_report) = Supervisor::run_campaigns(
                     &e,
-                    &ex,
-                    &strat,
+                    &campaigns,
                     &config,
                     &shard_dir,
                     &path,
@@ -736,8 +726,13 @@ fn run(opts: &Options) -> Result<(), String> {
                 }
                 return Ok(());
             }
+            let mut store = if path.exists() {
+                ResultStore::load(&path).map_err(|err| err.to_string())?
+            } else {
+                ResultStore::new()
+            };
             let report = e
-                .run_equiv_with(&ex, &strat, &mut store, Some(&path))
+                .run_campaigns(&campaigns, &mut store, Some(&path))
                 .map_err(|err| err.to_string())?;
             for ((comp, w, faults), err) in &report.failed {
                 eprintln!("warning: skipped {comp}/{w}/{faults}-bit: {err}");
@@ -746,12 +741,15 @@ fn run(opts: &Options) -> Result<(), String> {
             store.save(&path).map_err(|err| err.to_string())?;
             emit(&e.equiv_table(&store), opts.csv);
             report_resume(report.stale_rerun, report.legacy_unverified);
+            if report.deadline_expired {
+                eprintln!("deadline expired: partial results checkpointed; re-run to resume");
+            }
             eprintln!(
                 "{} campaign(s) executed ({} resumed), {} class sim(s) covering {} bit-cycles \
                  ({} proved dead without simulation); saved to {}",
                 report.executed,
                 report.skipped_existing,
-                report.simulated,
+                report.class_sims,
                 report.covered_weight,
                 report.pruned_weight,
                 path.display()

@@ -1,9 +1,9 @@
 //! The per-table / per-figure experiment implementations.
 
 use crate::io::{RealIo, RetryIo, RetryPolicy, StoreIo};
+use crate::source::FaultSource;
 use crate::store::{
-    component_slug, AnalyticalRow, AnalyticalStore, ExhaustiveMeta, Key, ResultStore, StoreError,
-    StoreVersion,
+    component_slug, AnalyticalRow, AnalyticalStore, Key, ResultStore, StoreError, StoreVersion,
 };
 use mbu_ace::{capture, AceStructure, CaptureError, LivenessMap};
 use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
@@ -14,7 +14,7 @@ use mbu_gefin::campaign::{
 };
 use mbu_gefin::classify::FaultEffect;
 use mbu_gefin::error::CampaignError;
-use mbu_gefin::exhaustive::{ExhaustivePlan, ExhaustiveSpec, StratifiedSpec, DEFAULT_MAX_CLASSES};
+use mbu_gefin::exhaustive::{ExhaustiveSpec, StratifiedSpec, DEFAULT_MAX_CLASSES};
 use mbu_gefin::fit::cpu_fit;
 use mbu_gefin::integrity::{config_digest, golden_fingerprint, GoldenFingerprint};
 use mbu_gefin::mask::{ClusterSpec, MaskGenerator};
@@ -29,13 +29,13 @@ use mbu_gefin::tech::{
 };
 use mbu_gefin::{GoldenArtifacts, SnapshotSpec};
 use mbu_workloads::Workload;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What a [`Experiments::run_sweep`] call actually did — the resume
+/// What a [`Experiments::run_campaigns`] call actually did — the resume
 /// accounting that lets callers (and tests) verify that completed campaigns
 /// are never re-executed.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -61,6 +61,14 @@ pub struct SweepReport {
     /// Achieved error margin per campaign, for every campaign that has one
     /// (executed this call or loaded from a v2 checkpoint).
     pub margins: Vec<(Key, f64)>,
+    /// Class simulations run by the class campaigns executed this call.
+    pub class_sims: u64,
+    /// Fault-space population (bit × cycle pairs) those class campaigns
+    /// covered — exactly for exhaustive keys, by scaling for stratified.
+    pub covered_weight: u64,
+    /// Of that population, the mass proved `Masked` without simulation
+    /// (dead classes).
+    pub pruned_weight: u64,
 }
 
 impl SweepReport {
@@ -118,51 +126,6 @@ pub const EXHAUSTIVE_COMPONENTS: [HwComponent; 3] =
 /// dead stratum is still pruned exactly.
 pub const STRATIFIED_COMPONENTS: [HwComponent; 3] =
     [HwComponent::L1D, HwComponent::L1I, HwComponent::L2];
-
-/// Splits an equivalence-class component list into the small structures
-/// enumerated exhaustively ([`EXHAUSTIVE_COMPONENTS`]) and the big arrays
-/// sampled stratified (everything else), each in list order — the one
-/// rule `repro exhaustive` and the daemon's exhaustive mode share.
-pub fn split_equiv_components(components: &[HwComponent]) -> (Vec<HwComponent>, Vec<HwComponent>) {
-    components
-        .iter()
-        .copied()
-        .partition(|c| EXHAUSTIVE_COMPONENTS.contains(c))
-}
-
-/// What one [`Experiments::run_equiv_with`] call did — resume accounting
-/// plus the coverage aggregates the CLI reports.
-#[derive(Debug, Clone, Default)]
-pub struct EquivReport {
-    /// Campaigns executed in this call (exhaustive + stratified).
-    pub executed: usize,
-    /// Campaigns skipped because the store already held their key.
-    pub skipped_existing: usize,
-    /// Checkpointed campaigns whose golden-run fingerprint no longer
-    /// matches the current binaries/configuration; they were re-run.
-    pub stale_rerun: usize,
-    /// Checkpointed campaigns carrying no fingerprint; kept as-is, but
-    /// flagged — their provenance is unverifiable.
-    pub legacy_unverified: usize,
-    /// Campaigns that could not run; the sweep continues past them.
-    pub failed: Vec<(Key, CampaignError)>,
-    /// Distinct simulations actually run across the executed campaigns.
-    pub simulated: u64,
-    /// Fault-space population (bit × cycle pairs) the executed campaigns
-    /// covered — exactly for exhaustive keys, by scaling for stratified.
-    pub covered_weight: u64,
-    /// Population mass proven `Masked` without simulation (dead classes).
-    pub pruned_weight: u64,
-    /// Weight-proportional draws taken by the stratified campaigns.
-    pub stratified_draws: u64,
-}
-
-impl EquivReport {
-    /// Whether every attempted campaign succeeded.
-    pub fn is_clean(&self) -> bool {
-        self.failed.is_empty()
-    }
-}
 
 /// An invalid `MBU_*` environment variable. The silent-fallback failure
 /// mode this replaces — an unparsable `MBU_THREADS` quietly running on the
@@ -229,19 +192,6 @@ pub(crate) fn parse_env<T: std::str::FromStr>(
         value: value.to_string(),
         expected,
     })
-}
-
-/// Parses an on/off switch value.
-pub(crate) fn parse_switch(var: &'static str, value: &str) -> Result<bool, ConfigError> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" | "" => Ok(false),
-        _ => Err(ConfigError::Invalid {
-            var,
-            value: value.to_string(),
-            expected: "must be on/off",
-        }),
-    }
 }
 
 /// Per-component campaign data: one [`CampaignResult`] per (workload,
@@ -560,24 +510,16 @@ impl Experiments {
             .try_run_with_artifacts(Some(artifacts))
     }
 
-    /// Builds (once) and memoizes the golden artifacts of `workload` for
-    /// sweep-wide sharing. A failed golden run is memoized too, so a
-    /// poisoned workload costs one attempt, not one per campaign.
-    fn workload_artifacts(
+    /// Builds the golden artifacts of `workload` (golden run plus snapshot
+    /// recording) that every campaign of a sweep on it shares.
+    pub(crate) fn golden_artifacts(
         &self,
-        cache: &mut BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>>,
         workload: Workload,
-    ) -> Result<Arc<GoldenArtifacts>, CampaignError> {
-        cache
-            .entry(workload)
-            .or_insert_with(|| {
-                // Any (component, faults) combination yields the same
-                // artifacts; campaign 1-bit is always constructible.
-                Campaign::try_new(self.campaign_config(HwComponent::RegFile, workload, 1))?
-                    .build_artifacts()
-                    .map(Arc::new)
-            })
-            .clone()
+    ) -> Result<GoldenArtifacts, CampaignError> {
+        // Any (component, faults) combination yields the same artifacts;
+        // campaign 1-bit is always constructible.
+        Campaign::try_new(self.campaign_config(HwComponent::RegFile, workload, 1))?
+            .build_artifacts()
     }
 
     /// The golden-run fingerprint derived from already-built artifacts —
@@ -593,25 +535,81 @@ impl Experiments {
         )
     }
 
-    /// The crash-safe sweep driver: runs every missing (component, workload,
-    /// cardinality) campaign over `components`, skipping keys the store
-    /// already holds, optionally flushing each finished campaign to
-    /// `checkpoint` via [`ResultStore::append_row`].
-    ///
-    /// Resumability comes from the skip + flush pair: load the checkpoint
-    /// into `store` before calling, and an interrupted sweep restarts where
-    /// it stopped, losing at most the single campaign that was in flight. A
-    /// workload whose golden run fails is reported in
-    /// [`SweepReport::failed`] and skipped (including its remaining
-    /// cardinalities) rather than aborting the sweep.
+    /// Every sampled campaign of a sweep over `components`, in driver
+    /// order: component × workload × cardinality `1..=max_cardinality`.
+    pub fn sampled_campaigns(&self, components: &[HwComponent]) -> Vec<(Key, FaultSource)> {
+        let mut campaigns = Vec::new();
+        for &component in components {
+            for &workload in &self.workloads {
+                for faults in self.cardinalities() {
+                    campaigns.push(((component, workload, faults), FaultSource::Sampled));
+                }
+            }
+        }
+        campaigns
+    }
+
+    /// Every equivalence-class campaign over `components`: one single-bit
+    /// campaign per component × workload, enumerated exhaustively on the
+    /// small structures ([`EXHAUSTIVE_COMPONENTS`]) and sampled stratified
+    /// on the big arrays.
+    pub fn class_campaigns(&self, components: &[HwComponent]) -> Vec<(Key, FaultSource)> {
+        let mut campaigns = Vec::new();
+        for &component in components {
+            for &workload in &self.workloads {
+                let source = FaultSource::for_class_campaign(component);
+                campaigns.push(((component, workload, 1), source));
+            }
+        }
+        campaigns
+    }
+
+    /// [`Experiments::run_campaigns`] over the sampled campaigns of
+    /// `components` — the paper's statistical sweep.
     ///
     /// # Errors
     ///
-    /// Only checkpoint I/O aborts the sweep — losing the ability to flush
-    /// would silently forfeit crash-safety. Campaign failures never do.
+    /// As [`Experiments::run_campaigns_with`].
     pub fn run_sweep(
         &self,
         components: &[HwComponent],
+        store: &mut ResultStore,
+        checkpoint: Option<&Path>,
+    ) -> Result<SweepReport, StoreError> {
+        self.run_campaigns(&self.sampled_campaigns(components), store, checkpoint)
+    }
+
+    /// [`Experiments::run_campaigns_with`] over the sampled campaigns of
+    /// `components`: the form the chaos harness drives.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiments::run_campaigns_with`].
+    pub fn run_sweep_with(
+        &self,
+        components: &[HwComponent],
+        store: &mut ResultStore,
+        checkpoint: Option<&Path>,
+        control: &SweepControl<'_>,
+    ) -> Result<SweepReport, StoreError> {
+        self.run_campaigns_with(
+            &self.sampled_campaigns(components),
+            store,
+            checkpoint,
+            control,
+        )
+    }
+
+    /// [`Experiments::run_campaigns_with`] under this configuration's
+    /// sweep deadline (`MBU_DEADLINE_SECS`) and the default checkpoint
+    /// I/O.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiments::run_campaigns_with`].
+    pub fn run_campaigns(
+        &self,
+        campaigns: &[(Key, FaultSource)],
         store: &mut ResultStore,
         checkpoint: Option<&Path>,
     ) -> Result<SweepReport, StoreError> {
@@ -619,7 +617,7 @@ impl Experiments {
             deadline: self.deadline.map(|d| Instant::now() + d),
             ..SweepControl::default()
         };
-        self.run_sweep_with(components, store, checkpoint, &control)
+        self.run_campaigns_with(campaigns, store, checkpoint, &control)
     }
 
     /// The current golden-run fingerprint of `workload`, computed lazily
@@ -635,7 +633,7 @@ impl Experiments {
             .or_insert_with(|| golden_fingerprint(self.core, workload).ok())
     }
 
-    /// The resume rule both checkpointing drivers share: whether the row
+    /// The in-process driver's resume rule: whether the row
     /// `store` holds under `key` is kept (`true`, skip the campaign) or
     /// re-run. A stored golden-run fingerprint that no longer matches the
     /// current binaries means the simulator, core configuration or workload
@@ -679,26 +677,35 @@ impl Experiments {
         false
     }
 
-    /// [`Experiments::run_sweep`] with explicit [`SweepControl`]: the form
-    /// the chaos harness drives, and the one to use for custom I/O, retry,
-    /// deadline or fingerprint-verification policies.
+    /// The crash-safe in-process sweep driver, for campaigns of any
+    /// [`FaultSource`]: runs every campaign of `campaigns` the store does
+    /// not already hold, in list order, against one golden run per
+    /// workload, flushing each finished campaign (with its coverage
+    /// metadata, for class campaigns) to `checkpoint` as it completes.
     ///
+    /// Resumability comes from the skip + flush pair: load the checkpoint
+    /// into `store` before calling, and an interrupted sweep restarts where
+    /// it stopped, losing at most the single campaign that was in flight.
     /// On resume, each checkpointed row's stored golden-run fingerprint is
     /// compared against the fingerprint the current binaries produce; a
     /// mismatch means the simulator, core configuration or workload changed
     /// underneath the checkpoint, so the row is **re-run**, not merged
     /// ([`SweepReport::stale_rerun`]). Rows from pre-integrity files carry
     /// no fingerprint; they are kept (old results are not orphaned) but
-    /// counted in [`SweepReport::legacy_unverified`].
+    /// counted in [`SweepReport::legacy_unverified`]. Once the control's
+    /// deadline passes, the sweep stops before its next campaign
+    /// ([`SweepReport::deadline_expired`]). A workload whose golden run
+    /// fails is reported in [`SweepReport::failed`] once per component and
+    /// skipped, rather than aborting the sweep.
     ///
     /// # Errors
     ///
     /// Only checkpoint I/O aborts the sweep (after the retry policy is
     /// exhausted) — losing the ability to flush would silently forfeit
     /// crash-safety. Campaign failures never do.
-    pub fn run_sweep_with(
+    pub fn run_campaigns_with(
         &self,
-        components: &[HwComponent],
+        campaigns: &[(Key, FaultSource)],
         store: &mut ResultStore,
         checkpoint: Option<&Path>,
         control: &SweepControl<'_>,
@@ -706,85 +713,91 @@ impl Experiments {
         let retry_io = RetryIo::new(control.io, control.retry);
         let mut report = SweepReport::default();
         let mut fingerprints: BTreeMap<Workload, Option<GoldenFingerprint>> = BTreeMap::new();
+        // One golden (and recording) run per workload, shared read-only
+        // across every campaign; a failure is memoized too.
         let mut artifacts: BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>> =
             BTreeMap::new();
-        'sweep: for &component in components {
-            for &w in &self.workloads {
-                let mut workload_poisoned = false;
-                for faults in self.cardinalities() {
-                    if let Some(deadline) = control.deadline {
-                        if Instant::now() >= deadline {
-                            report.deadline_expired = true;
-                            if self.verbose {
-                                eprintln!(
-                                    "  sweep deadline expired; stopping with partial results"
-                                );
-                            }
-                            break 'sweep;
+        let mut poisoned: BTreeSet<(HwComponent, Workload)> = BTreeSet::new();
+        for &(key, source) in campaigns {
+            let (component, w, faults) = key;
+            if control.deadline.is_some_and(|d| Instant::now() >= d) {
+                report.deadline_expired = true;
+                if self.verbose {
+                    eprintln!("  sweep deadline expired; stopping with partial results");
+                }
+                break;
+            }
+            if store.contains(component, w, faults)
+                && (!control.verify_fingerprints
+                    || self.keep_checkpointed(
+                        store,
+                        key,
+                        &mut fingerprints,
+                        &mut report.legacy_unverified,
+                        &mut report.stale_rerun,
+                    ))
+            {
+                report.skipped_existing += 1;
+                if let Some(m) = store
+                    .get(component, w, faults)
+                    .and_then(|r| r.achieved_margin)
+                {
+                    report.margins.push((key, m));
+                }
+                continue;
+            }
+            if poisoned.contains(&(component, w)) {
+                continue;
+            }
+            let outcome = artifacts
+                .entry(w)
+                .or_insert_with(|| self.golden_artifacts(w).map(Arc::new))
+                .clone()
+                .and_then(|a| source.run_campaign(self, key, &a).map(|r| (r, a)));
+            match outcome {
+                Ok(((r, class), a)) => {
+                    report.executed += 1;
+                    if let Some((m, pruned)) = class {
+                        report.class_sims += m.classes;
+                        report.covered_weight = report.covered_weight.saturating_add(m.weight);
+                        report.pruned_weight = report.pruned_weight.saturating_add(pruned);
+                    }
+                    let meta = class.map(|(m, _)| m);
+                    if let Some(m) = r.achieved_margin {
+                        report.margins.push((key, m));
+                    }
+                    if self.verbose {
+                        match meta {
+                            Some(m) => eprintln!(
+                                "  {r} [{} classes over {} bit-cycles]",
+                                m.classes, m.weight
+                            ),
+                            None => eprintln!("  {r}"),
+                        }
+                        if !r.anomalies.is_empty() {
+                            eprintln!("  {}", r.anomalies);
                         }
                     }
-                    let key = (component, w, faults);
-                    if store.contains(component, w, faults)
-                        && (!control.verify_fingerprints
-                            || self.keep_checkpointed(
-                                store,
-                                key,
-                                &mut fingerprints,
-                                &mut report.legacy_unverified,
-                                &mut report.stale_rerun,
-                            ))
-                    {
-                        report.skipped_existing += 1;
-                        if let Some(m) = store
-                            .get(component, w, faults)
-                            .and_then(|r| r.achieved_margin)
-                        {
-                            report.margins.push((key, m));
-                        }
-                        continue;
+                    // The fingerprint derives from the shared artifacts —
+                    // no extra golden run.
+                    let fp = *fingerprints
+                        .entry(w)
+                        .or_insert_with(|| Some(self.artifact_fingerprint(&a)));
+                    if let Some(path) = checkpoint {
+                        ResultStore::append_flavored_row_with(&retry_io, path, &r, fp, meta)?;
                     }
-                    if workload_poisoned {
-                        continue;
+                    store.insert_flavored(r, fp, meta);
+                }
+                Err(e) => {
+                    if self.verbose {
+                        eprintln!("  {component}/{w}/{faults}-bit failed: {e}");
                     }
-                    // One golden (and recording) run per workload, shared
-                    // read-only across every campaign.
-                    let outcome = self.workload_artifacts(&mut artifacts, w).and_then(|a| {
-                        self.try_campaign_with_artifacts(component, w, faults, &a)
-                            .map(|r| (r, a))
-                    });
-                    match outcome {
-                        Ok((r, a)) => {
-                            report.executed += 1;
-                            if let Some(m) = r.achieved_margin {
-                                report.margins.push((key, m));
-                            }
-                            if self.verbose {
-                                eprintln!("  {r}");
-                                if !r.anomalies.is_empty() {
-                                    eprintln!("  {}", r.anomalies);
-                                }
-                            }
-                            // The fingerprint derives from the shared
-                            // artifacts — no extra golden run.
-                            let fp = *fingerprints
-                                .entry(w)
-                                .or_insert_with(|| Some(self.artifact_fingerprint(&a)));
-                            if let Some(path) = checkpoint {
-                                ResultStore::append_row_with(&retry_io, path, &r, fp)?;
-                            }
-                            store.insert_with_fingerprint(r, fp);
-                        }
-                        Err(e) => {
-                            if self.verbose {
-                                eprintln!("  {component}/{w}/{faults}-bit failed: {e}");
-                            }
-                            // A golden-run failure poisons every cardinality
-                            // of this workload; don't burn time rediscovering
-                            // it twice.
-                            workload_poisoned = matches!(e, CampaignError::GoldenRunFailed { .. });
-                            report.failed.push((key, e));
-                        }
+                    // A golden-run failure poisons the component's other
+                    // campaigns on this workload; don't report it again.
+                    if matches!(e, CampaignError::GoldenRunFailed { .. }) {
+                        poisoned.insert((component, w));
                     }
+                    report.failed.push((key, e));
                 }
             }
         }
@@ -819,133 +832,6 @@ impl Experiments {
         let mut cfg = self.campaign_config(component, workload, 1);
         cfg.adaptive = None;
         cfg
-    }
-
-    /// The crash-safe equivalence-class campaign driver: every component
-    /// in `exhaustive_components` gets a full single-bit class enumeration
-    /// (one simulation per live class, dead classes pruned `Masked`, margin
-    /// exactly 0), every component in `stratified_components` a
-    /// class-weighted stratified campaign. [`split_equiv_components`]
-    /// derives the two lists from one.
-    ///
-    /// Results land in `store` under the exhaustive row flavor
-    /// ([`ResultStore::insert_exhaustive`]) and flush to `checkpoint` as
-    /// they complete, so an interrupted run resumes where it stopped
-    /// exactly like [`Experiments::run_sweep`] — stale rows re-run
-    /// ([`EquivReport::stale_rerun`]), rows without a fingerprint are kept
-    /// ([`EquivReport::legacy_unverified`]).
-    ///
-    /// # Errors
-    ///
-    /// Only checkpoint I/O aborts the driver; campaign failures are
-    /// reported in [`EquivReport::failed`] and skipped.
-    pub fn run_equiv_with(
-        &self,
-        exhaustive_components: &[HwComponent],
-        stratified_components: &[HwComponent],
-        store: &mut ResultStore,
-        checkpoint: Option<&Path>,
-    ) -> Result<EquivReport, StoreError> {
-        let retry_io = RetryIo::new(&RealIo, RetryPolicy::DEFAULT);
-        let mut report = EquivReport::default();
-        let mut artifacts: BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>> =
-            BTreeMap::new();
-        let mut fingerprints: BTreeMap<Workload, Option<GoldenFingerprint>> = BTreeMap::new();
-        let spec = self.exhaustive_spec();
-        for (i, &component) in exhaustive_components
-            .iter()
-            .chain(stratified_components)
-            .enumerate()
-        {
-            let exhaustive = i < exhaustive_components.len();
-            for &w in &self.workloads {
-                let key = (component, w, 1);
-                if store.contains(component, w, 1)
-                    && self.keep_checkpointed(
-                        store,
-                        key,
-                        &mut fingerprints,
-                        &mut report.legacy_unverified,
-                        &mut report.stale_rerun,
-                    )
-                {
-                    report.skipped_existing += 1;
-                    continue;
-                }
-                let outcome = self.run_equiv_campaign(
-                    component,
-                    w,
-                    spec,
-                    exhaustive,
-                    &mut artifacts,
-                    &mut report,
-                );
-                match outcome {
-                    Ok((result, meta, a)) => {
-                        report.executed += 1;
-                        report.covered_weight = report.covered_weight.saturating_add(meta.weight);
-                        let fp = *fingerprints
-                            .entry(w)
-                            .or_insert_with(|| Some(self.artifact_fingerprint(&a)));
-                        if self.verbose {
-                            eprintln!(
-                                "  {result} [{} classes over {} bit-cycles]",
-                                meta.classes, meta.weight
-                            );
-                        }
-                        if let Some(path) = checkpoint {
-                            ResultStore::append_flavored_row_with(
-                                &retry_io,
-                                path,
-                                &result,
-                                fp,
-                                Some(meta),
-                            )?;
-                        }
-                        store.insert_exhaustive(result, meta, fp);
-                    }
-                    Err(e) => {
-                        if self.verbose {
-                            eprintln!("  {component}/{w}/1-bit failed: {e}");
-                        }
-                        report.failed.push((key, e));
-                    }
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Runs one equivalence-class campaign (exhaustive or stratified)
-    /// against the workload's shared golden artifacts and returns the
-    /// population-weighted result, its store metadata and the artifacts.
-    fn run_equiv_campaign(
-        &self,
-        component: HwComponent,
-        workload: Workload,
-        spec: ExhaustiveSpec,
-        exhaustive: bool,
-        artifacts: &mut BTreeMap<Workload, Result<Arc<GoldenArtifacts>, CampaignError>>,
-        report: &mut EquivReport,
-    ) -> Result<(CampaignResult, ExhaustiveMeta, Arc<GoldenArtifacts>), CampaignError> {
-        let plan = ExhaustivePlan::try_new(self.equiv_config(component, workload), spec)?;
-        let shared = self.workload_artifacts(artifacts, workload)?;
-        let (campaign, classes, population) = if exhaustive {
-            let r = plan.run(Some(&shared))?;
-            report.pruned_weight = report.pruned_weight.saturating_add(r.pruned_weight);
-            (r.campaign, r.simulated, r.coverage.population)
-        } else {
-            let r = plan.run_stratified(self.stratified_spec(), Some(&shared))?;
-            report.pruned_weight = report.pruned_weight.saturating_add(r.coverage.dead_weight);
-            report.stratified_draws += r.draws;
-            (r.campaign, r.simulated, r.coverage.population)
-        };
-        report.simulated += classes;
-        let meta = ExhaustiveMeta {
-            classes,
-            weight: population,
-        };
-        Ok((campaign, meta, shared))
     }
 
     /// Renders the equivalence-class campaigns the store holds — one row
@@ -2061,20 +1947,62 @@ mod tests {
 
     #[test]
     fn equiv_components_split_by_structure_in_list_order() {
-        let (ex, strat) = split_equiv_components(&[
-            HwComponent::L2,
-            HwComponent::DTlb,
-            HwComponent::L1D,
-            HwComponent::ITlb,
-        ]);
-        assert_eq!(ex, vec![HwComponent::DTlb, HwComponent::ITlb]);
-        assert_eq!(strat, vec![HwComponent::L2, HwComponent::L1D]);
-        let (ex, strat) = split_equiv_components(&EXHAUSTIVE_COMPONENTS);
-        assert_eq!(ex, EXHAUSTIVE_COMPONENTS.to_vec());
-        assert!(strat.is_empty());
-        let (ex, strat) = split_equiv_components(&STRATIFIED_COMPONENTS);
-        assert!(ex.is_empty());
-        assert_eq!(strat, STRATIFIED_COMPONENTS.to_vec());
+        use FaultSource::{Exhaustive, Stratified};
+        let e = tiny();
+        let sources = |components: &[HwComponent]| -> Vec<(HwComponent, FaultSource)> {
+            e.class_campaigns(components)
+                .into_iter()
+                .map(|((c, w, faults), source)| {
+                    assert_eq!((w, faults), (Workload::Stringsearch, 1), "single-bit");
+                    (c, source)
+                })
+                .collect()
+        };
+        assert_eq!(
+            sources(&[
+                HwComponent::L2,
+                HwComponent::DTlb,
+                HwComponent::L1D,
+                HwComponent::ITlb,
+            ]),
+            vec![
+                (HwComponent::L2, Stratified),
+                (HwComponent::DTlb, Exhaustive),
+                (HwComponent::L1D, Stratified),
+                (HwComponent::ITlb, Exhaustive),
+            ]
+        );
+        assert!(sources(&EXHAUSTIVE_COMPONENTS)
+            .iter()
+            .all(|&(_, s)| s == Exhaustive));
+        assert!(sources(&STRATIFIED_COMPONENTS)
+            .iter()
+            .all(|&(_, s)| s == Stratified));
+    }
+
+    /// `MBU_DEADLINE_SECS` reaches class campaigns through the one driver:
+    /// an expired deadline runs nothing, and the resumed sweep lands on the
+    /// uninterrupted sweep's store.
+    #[test]
+    fn class_sweep_stops_at_the_deadline_and_resumes() {
+        let e = tiny();
+        let campaigns = e.class_campaigns(&[HwComponent::L2]);
+        let mut uninterrupted = ResultStore::new();
+        e.run_campaigns(&campaigns, &mut uninterrupted, None)
+            .unwrap();
+        let expired = Experiments {
+            deadline: Some(Duration::ZERO),
+            ..tiny()
+        };
+        let mut store = ResultStore::new();
+        let report = expired.run_campaigns(&campaigns, &mut store, None).unwrap();
+        assert!(report.deadline_expired);
+        assert_eq!((report.executed, report.skipped_existing), (0, 0));
+        assert!(store.is_empty());
+        let resumed = e.run_campaigns(&campaigns, &mut store, None).unwrap();
+        assert!(!resumed.deadline_expired);
+        assert_eq!(resumed.executed, 1);
+        assert_eq!(store.to_csv(), uninterrupted.to_csv());
     }
 
     /// A resumed equivalence-class checkpoint obeys the sampled sweep's
@@ -2085,15 +2013,23 @@ mod tests {
         let e = tiny();
         let (c, w) = (HwComponent::L2, Workload::Stringsearch);
         let mut store = ResultStore::new();
-        let first = e.run_equiv_with(&[], &[c], &mut store, None).unwrap();
+        let first = e
+            .run_campaigns(&e.class_campaigns(&[c]), &mut store, None)
+            .unwrap();
         assert_eq!(first.executed, 1);
         let row = store.get(c, w, 1).unwrap().clone();
         let meta = store.exhaustive_meta(c, w, 1).unwrap();
         let true_fp = store.fingerprint(c, w, 1).expect("the driver stamps rows");
 
         let mut stale = ResultStore::new();
-        stale.insert_exhaustive(row.clone(), meta, Some(GoldenFingerprint(0xDEAD_BEEF)));
-        let report = e.run_equiv_with(&[], &[c], &mut stale, None).unwrap();
+        stale.insert_flavored(
+            row.clone(),
+            Some(GoldenFingerprint(0xDEAD_BEEF)),
+            Some(meta),
+        );
+        let report = e
+            .run_campaigns(&e.class_campaigns(&[c]), &mut stale, None)
+            .unwrap();
         assert_eq!(report.stale_rerun, 1, "the stale row is re-run");
         assert_eq!((report.executed, report.skipped_existing), (1, 0));
         assert_eq!(report.legacy_unverified, 0);
@@ -2101,8 +2037,10 @@ mod tests {
         assert_eq!(stale.fingerprint(c, w, 1), Some(true_fp));
 
         let mut legacy = ResultStore::new();
-        legacy.insert_exhaustive(row, meta, None);
-        let report = e.run_equiv_with(&[], &[c], &mut legacy, None).unwrap();
+        legacy.insert_flavored(row, None, Some(meta));
+        let report = e
+            .run_campaigns(&e.class_campaigns(&[c]), &mut legacy, None)
+            .unwrap();
         assert_eq!(report.legacy_unverified, 1, "the legacy row is kept");
         assert_eq!((report.executed, report.skipped_existing), (0, 1));
         assert_eq!(report.stale_rerun, 0);
@@ -2119,13 +2057,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = ResultStore::new();
         let report = e
-            .run_equiv_with(&[], &[c], &mut store, Some(&path))
+            .run_campaigns(&e.class_campaigns(&[c]), &mut store, Some(&path))
             .unwrap();
         assert_eq!(report.executed, 1);
         assert!(report.is_clean(), "{:?}", report.failed);
-        assert!(report.stratified_draws >= 100, "paper spec draws ≥ min");
-        assert!(report.simulated > 0);
         let meta = store.exhaustive_meta(c, w, 1).unwrap();
+        assert!(meta.classes > 0, "the sampler simulated live classes");
+        // The report's class totals are the one campaign's.
+        assert_eq!(report.class_sims, meta.classes);
+        assert_eq!(report.covered_weight, meta.weight);
+        assert!(report.pruned_weight < meta.weight);
         let row = store.get(c, w, 1).unwrap();
         // Scaled counts cover the whole population, and that population
         // reconciles with the structure's actual bit × cycle fault space.
@@ -2135,6 +2076,20 @@ mod tests {
             .total_bits() as u64;
         assert_eq!(meta.weight, bits * row.fault_free_cycles);
         assert!(row.achieved_margin.unwrap() > 0.0, "stratified, not proved");
+        // The driver's campaign is the sampler's run under the paper's
+        // stopping rule, draw floor included.
+        let plan = mbu_gefin::exhaustive::ExhaustivePlan::try_new(
+            e.equiv_config(c, w),
+            e.exhaustive_spec(),
+        )
+        .unwrap();
+        let direct = plan.run_stratified(e.stratified_spec(), None).unwrap();
+        assert!(
+            direct.draws >= StratifiedSpec::paper().min_draws,
+            "paper spec draws ≥ min"
+        );
+        assert_eq!(direct.simulated, meta.classes);
+        assert_eq!(direct.campaign.counts, row.counts);
         // The flavored checkpoint row survives a reload with its metadata,
         // and the resumed driver re-runs nothing.
         let mut reloaded = ResultStore::load(&path).unwrap();
@@ -2147,7 +2102,7 @@ mod tests {
         assert_eq!(back.fault_free_cycles, row.fault_free_cycles);
         assert_eq!(back.fault_free_instructions, row.fault_free_instructions);
         let again = e
-            .run_equiv_with(&[], &[c], &mut reloaded, Some(&path))
+            .run_campaigns(&e.class_campaigns(&[c]), &mut reloaded, Some(&path))
             .unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.skipped_existing, 1);

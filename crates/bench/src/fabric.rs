@@ -1,29 +1,24 @@
-//! Distributed-sweep fabric: the shard planner, the worker execution loop,
-//! and the crash-consistent shard merge.
+//! Distributed-sweep fabric: the shard merge, the shard audit and the
+//! worker execution loop.
 //!
-//! A sweep decomposes into [`UnitSpec`] work units — contiguous run-ranges
-//! of (component × workload × cardinality) campaigns. Per-run seeds derive
+//! A sweep decomposes into [`UnitSpec`] work units — contiguous ranges of
+//! one campaign's unit space, which its [`FaultSource`] sizes and splits:
+//! runs for sampled campaigns, live classes of the deterministic
+//! [`mbu_gefin::exhaustive::ExhaustivePlan`] for exhaustive ones, and one
+//! whole-campaign unit for the stratified sampler. Per-run seeds derive
 //! from the campaign seed and the absolute run index alone
-//! ([`mbu_gefin::campaign::derive_run_seed`]), so the class counts of any
-//! disjoint cover of `0..runs` sum to exactly the full campaign's counts,
-//! and the campaign's error margin is a pure function of the summed counts
-//! ([`campaign_margin`]). That is the whole trick: workers execute ranges
-//! independently and persist [`ShardRow`]s; [`merge_rows`] splices ranges
-//! back into campaigns and lands on a [`ResultStore`] *byte-identical* to a
-//! single-process sweep.
+//! ([`mbu_gefin::campaign::derive_run_seed`]), and each class is simulated
+//! once whichever worker owns it, so the counts of any disjoint cover of
+//! the unit space sum to exactly the single-process campaign's, and the
+//! margin is a pure function of the summed counts. That is the whole
+//! trick: workers execute ranges independently and persist [`ShardRow`]s;
+//! [`merge_rows`] splices ranges back into campaigns and lands on a
+//! [`ResultStore`] *byte-identical* to a single-process sweep.
 //!
-//! Equivalence-class campaigns shard the same way, but a unit's range
-//! indexes *live classes* of the deterministic [`ExhaustivePlan`] instead
-//! of runs: each class is simulated once regardless of which worker owns
-//! it, so any disjoint cover of `0..live_classes` reproduces the
-//! single-process exhaustive sweep exactly, outcome for outcome. Such
-//! rows carry a [`ShardExhaustive`] annotation (class-weighted counts,
-//! campaign-wide population and pruned mass); stratified big-array
-//! campaigns ride as one whole-campaign unit annotated with
-//! [`ShardStratified`]. The flavor-aware merge reconciles annotations
-//! across rows — disagreeing totals or mixed flavors are conflicts — and
-//! re-derives the exhaustive store entry (weighted counts, margin,
-//! metadata) bit-identically to `repro exhaustive` in one process.
+//! A row's flavour (run range, class range or stratified) must match its
+//! campaign's planned source. A row of the other kind of sweep for the
+//! same key is not part of this sweep's campaign and is skipped, so
+//! sampled and class sweeps can share one shard directory.
 //!
 //! The merge trusts nothing:
 //!
@@ -37,27 +32,22 @@
 //!   fully-covered duplicates and misaligned overlaps are dropped and
 //!   counted;
 //! * rows that should be identical but disagree (same range, different
-//!   counts — engine nondeterminism or undetected corruption) are dropped
-//!   as *conflicts*, leaving a gap that forces a re-run;
+//!   counts, or class rows claiming different populations — engine
+//!   nondeterminism or undetected corruption) are dropped as *conflicts*,
+//!   leaving a gap that forces a re-run;
 //! * whatever remains uncovered is reported as precise gap units, so a
-//!   resumed sweep re-runs exactly the missing runs and nothing else.
+//!   resumed sweep re-runs exactly the missing units and nothing else.
 
 use crate::chaos::WorkerChaos;
 use crate::io::{RealIo, StoreIo};
-use crate::protocol::{read_frame, write_frame, EquivSpec, ProtocolError, ToSupervisor, ToWorker};
+use crate::protocol::{read_frame, write_frame, ProtocolError, ToSupervisor, ToWorker};
+use crate::source::{run_unit, FaultSource, RunHook, UnitCache};
 use crate::store::{
-    Key, ResultStore, ShardExhaustive, ShardLoadAudit, ShardRow, ShardStore, ShardStratified,
-    StoreError,
+    Key, ResultStore, ShardExhaustive, ShardLoadAudit, ShardRow, ShardStore, StoreError,
 };
 use crate::Experiments;
-use mbu_cpu::HwComponent;
-use mbu_gefin::campaign::{campaign_margin, Campaign, UnitSpec};
-use mbu_gefin::classify::ClassCounts;
-use mbu_gefin::error::CampaignError;
-use mbu_gefin::exhaustive::{ExhaustivePlan, ExhaustiveSpec};
+use mbu_gefin::campaign::UnitSpec;
 use mbu_gefin::integrity::{golden_fingerprint, GoldenFingerprint};
-use mbu_gefin::stats::Z_99;
-use mbu_gefin::GoldenArtifacts;
 use mbu_workloads::Workload;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -67,31 +57,18 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Every campaign key of a sweep over `components`, in the same order the
-/// single-process driver visits them (cardinalities `1..=max_cardinality`,
-/// mirrored from [`Experiments::run_sweep`]).
-pub fn campaign_keys(exp: &Experiments, components: &[HwComponent]) -> Vec<Key> {
-    let mut keys = Vec::new();
-    for &component in components {
-        for &workload in &exp.workloads {
-            for faults in exp.cardinalities() {
-                keys.push((component, workload, faults));
-            }
-        }
-    }
-    keys
-}
+/// A planned sweep: each campaign's fault source and the size of its unit
+/// space, by campaign key.
+pub type SweepPlan = BTreeMap<Key, (FaultSource, usize)>;
 
-/// Splits the run-range `[start, end)` of one campaign into units of at
-/// most `unit_runs` runs (`0` = no splitting). Adaptive campaigns are
-/// never split — early stopping depends on the global run order — so
-/// callers pass `unit_runs = 0` for them.
-pub fn split_range(key: Key, start: usize, end: usize, unit_runs: usize) -> Vec<UnitSpec> {
+/// Splits the range `[start, end)` of one campaign into units of at most
+/// `unit` units (`0` = no splitting).
+pub fn split_range(key: Key, start: usize, end: usize, unit: usize) -> Vec<UnitSpec> {
     let (component, workload, faults) = key;
-    let step = if unit_runs == 0 {
+    let step = if unit == 0 {
         end.saturating_sub(start).max(1)
     } else {
-        unit_runs
+        unit
     };
     let mut units = Vec::new();
     let mut at = start;
@@ -107,21 +84,6 @@ pub fn split_range(key: Key, start: usize, end: usize, unit_runs: usize) -> Vec<
         at = stop;
     }
     units
-}
-
-/// Plans a full sweep as work units: every campaign of
-/// [`campaign_keys`], each split into run-ranges of at most `unit_runs`
-/// runs (`0`, or an adaptive sweep, = one whole-campaign unit each).
-pub fn plan_units(
-    exp: &Experiments,
-    components: &[HwComponent],
-    unit_runs: usize,
-) -> Vec<UnitSpec> {
-    let split = if exp.adaptive.is_some() { 0 } else { unit_runs };
-    campaign_keys(exp, components)
-        .into_iter()
-        .flat_map(|key| split_range(key, 0, exp.runs, split))
-        .collect()
 }
 
 /// What [`merge_rows`] did, campaign by campaign and row by row.
@@ -154,14 +116,6 @@ impl MergeReport {
     pub fn is_complete(&self) -> bool {
         self.gaps.is_empty()
     }
-}
-
-fn add_counts(into: &mut ClassCounts, from: &ClassCounts) {
-    into.masked += from.masked;
-    into.sdc += from.sdc;
-    into.crash += from.crash;
-    into.timeout += from.timeout;
-    into.assert_ += from.assert_;
 }
 
 /// A deterministic total order on rows of one campaign: by range start,
@@ -200,9 +154,15 @@ fn row_order(a: &ShardRow, b: &ShardRow) -> std::cmp::Ordering {
 }
 
 /// Merges shard rows into a [`ResultStore`], campaign by campaign over
-/// `campaigns`. Input row order never matters: rows are canonically
-/// sorted per campaign before splicing, so the merge is idempotent and
+/// `plan`. Input row order never matters: rows are canonically sorted per
+/// campaign before splicing, so the merge is idempotent and
 /// order-independent (the property tests hold it to that).
+///
+/// A row enters its campaign only if it has the flavour of the planned
+/// [`FaultSource`]; rows of campaigns outside the plan, or of the other
+/// kind of sweep for a planned key, are not merged — not an error, not a
+/// gap. A class campaign's rows must also agree on its population and
+/// pruned mass, and its cover must reconcile with them exactly.
 ///
 /// `expected` maps each workload to the golden-run fingerprint of the
 /// *current* build/configuration; rows stamped differently are stale.
@@ -210,36 +170,18 @@ fn row_order(a: &ShardRow, b: &ShardRow) -> std::cmp::Ordering {
 /// skipped entirely — they cannot be run, so they are not gaps either.
 pub fn merge_rows(
     exp: &Experiments,
-    campaigns: &[Key],
-    rows: &[ShardRow],
-    expected: &BTreeMap<Workload, GoldenFingerprint>,
-) -> (ResultStore, MergeReport) {
-    let with_totals: Vec<(Key, usize)> = campaigns.iter().map(|&k| (k, exp.runs)).collect();
-    merge_rows_with_totals(exp, &with_totals, rows, expected)
-}
-
-/// [`merge_rows`] with an explicit per-campaign unit total — the shape
-/// exhaustive sweeps need, where each campaign's unit space is its own
-/// live-class count rather than the sweep-wide `runs`. The merge is
-/// flavor-aware: a campaign whose rows carry [`ShardExhaustive`] columns
-/// finalizes by summing the *weighted* counts, crediting the pruned dead
-/// mass as `Masked` once, and stamping the result with margin 0 and an
-/// [`crate::store::ExhaustiveMeta`] annotation; rows that disagree on the
-/// population or mix flavors are conflicts, never merged.
-pub fn merge_rows_with_totals(
-    exp: &Experiments,
-    campaigns: &[(Key, usize)],
+    plan: &SweepPlan,
     rows: &[ShardRow],
     expected: &BTreeMap<Workload, GoldenFingerprint>,
 ) -> (ResultStore, MergeReport) {
     let mut report = MergeReport::default();
     let mut by_campaign: BTreeMap<Key, Vec<ShardRow>> = BTreeMap::new();
-    let totals: BTreeMap<Key, usize> = campaigns.iter().copied().collect();
     for row in rows {
         let key = row.unit.campaign_key();
-        let Some(&total) = totals.get(&key) else {
-            // A row for a campaign outside this sweep (e.g. a narrower
-            // resume) is simply not merged — not an error, not a gap.
+        let Some(&(_, total)) = plan
+            .get(&key)
+            .filter(|(source, _)| *source == FaultSource::of_row(row))
+        else {
             continue;
         };
         let fresh = row.seed == exp.seed
@@ -252,51 +194,37 @@ pub fn merge_rows_with_totals(
         by_campaign.entry(key).or_default().push(row.clone());
     }
     let mut store = ResultStore::new();
-    for &(key, total) in campaigns {
+    for (&key, &(source, total)) in plan {
         let (component, workload, faults) = key;
         let Some(&fingerprint) = expected.get(&workload) else {
             continue;
         };
+        let whole = UnitSpec::whole(component, workload, faults, total);
         let mut rows = by_campaign.remove(&key).unwrap_or_default();
         rows.sort_by(row_order);
         let before = rows.len();
         rows.dedup();
         report.duplicates_dropped += before - rows.len();
-        // One flavor per campaign: exhaustive iff every row agrees on the
-        // annotation's campaign-wide constants. A mixed set cannot be
-        // spliced into either kind of result.
-        let exhaustive = rows.first().and_then(|r| r.exhaustive).and_then(|first| {
-            rows.iter()
-                .all(|r| {
-                    r.exhaustive.is_some_and(|ex| {
-                        (ex.weight_total, ex.pruned, ex.stratified)
-                            == (first.weight_total, first.pruned, first.stratified)
-                    })
-                })
-                .then_some(first)
-        });
-        let mixed = rows.iter().any(|r| r.exhaustive.is_some()) && exhaustive.is_none();
-        if mixed {
+        // A class campaign's rows carry its campaign-wide constants; rows
+        // claiming different ones cannot be spliced into one result.
+        let constants = |r: &ShardRow| r.exhaustive.map(|ex| (ex.weight_total, ex.pruned));
+        if rows
+            .windows(2)
+            .any(|w| constants(&w[0]) != constants(&w[1]))
+        {
             report.conflicts_dropped += rows.len();
-            report.gaps.push(UnitSpec {
-                component,
-                workload,
-                faults,
-                start: 0,
-                end: total,
-            });
+            report.gaps.push(whole);
             continue;
         }
         // Greedy exact-adjacency splice: only a row starting exactly at
-        // the covered frontier extends the cover.
-        let mut covered = 0usize;
-        let mut counts = ClassCounts::new();
-        let mut weighted = ClassCounts::new();
-        let mut golden: Option<(u64, u64)> = None;
+        // the covered frontier extends the cover, which sums every
+        // spliced row into one spanning `0..covered`.
+        let mut cover: Option<ShardRow> = None;
         let mut merged_rows = 0usize;
         let mut gaps: Vec<(usize, usize)> = Vec::new();
-        let adaptive = exp.adaptive.is_some() && exhaustive.is_none();
+        let adaptive = source == FaultSource::Sampled && exp.adaptive.is_some();
         for row in &rows {
+            let covered = cover.as_ref().map_or(0, |c| c.unit.end);
             if adaptive && covered > 0 {
                 // Adaptive campaigns are one row; a deterministic engine
                 // re-runs them to the identical stopping point, so a
@@ -321,11 +249,12 @@ pub fn merge_rows_with_totals(
                 }
                 gaps.push((covered, row.unit.start));
             }
-            if let Some(g) = golden {
-                if g != (row.fault_free_cycles, row.fault_free_instructions) {
-                    report.conflicts_dropped += 1;
-                    continue;
-                }
+            if cover.as_ref().is_some_and(|c| {
+                (c.fault_free_cycles, c.fault_free_instructions)
+                    != (row.fault_free_cycles, row.fault_free_instructions)
+            }) {
+                report.conflicts_dropped += 1;
+                continue;
             }
             if rows.iter().any(|other| {
                 other.unit == row.unit
@@ -336,26 +265,33 @@ pub fn merge_rows_with_totals(
                 report.conflicts_dropped += 1;
                 continue;
             }
-            golden = Some((row.fault_free_cycles, row.fault_free_instructions));
-            add_counts(&mut counts, &row.counts);
-            if let Some(ex) = &row.exhaustive {
-                add_counts(&mut weighted, &ex.weighted);
+            match &mut cover {
+                None => cover = Some(row.clone()),
+                Some(c) => {
+                    c.counts.merge(&row.counts);
+                    if let (Some(sum), Some(ex)) = (&mut c.exhaustive, &row.exhaustive) {
+                        sum.weighted.merge(&ex.weighted);
+                    }
+                    c.unit.end = row.unit.end;
+                }
             }
-            covered = row.unit.end;
             merged_rows += 1;
         }
-        // An adaptive campaign is complete at its own stopping point; a
-        // fixed or exhaustive campaign only at its full unit count.
+        let covered = cover.as_ref().map_or(0, |c| c.unit.end);
+        // An adaptive campaign is complete at its own stopping point; any
+        // other only at its full unit count.
         let complete = if adaptive {
             merged_rows == 1
         } else {
             covered == total && gaps.is_empty()
         };
-        // An exhaustive cover must also reconcile exactly with the
-        // population: live mass + dead mass == bits × cycles.
-        let reconciled = exhaustive
-            .is_none_or(|ex| weighted.total().checked_add(ex.pruned) == Some(ex.weight_total));
-        if !complete || !reconciled {
+        // A class cover must also reconcile exactly with the population:
+        // live mass + dead mass == bits × cycles.
+        let reconciled = cover
+            .as_ref()
+            .and_then(|c| c.exhaustive)
+            .is_none_or(|ex| ex.weighted.total().checked_add(ex.pruned) == Some(ex.weight_total));
+        let Some(cover) = cover.filter(|_| complete && reconciled) else {
             if !reconciled {
                 report.conflicts_dropped += merged_rows;
                 gaps = vec![(0, total)];
@@ -367,72 +303,17 @@ pub fn merge_rows_with_totals(
                     gaps = vec![(0, total)];
                 }
             }
-            for (start, end) in gaps {
-                report.gaps.push(UnitSpec {
-                    component,
-                    workload,
-                    faults,
+            report
+                .gaps
+                .extend(gaps.into_iter().map(|(start, end)| UnitSpec {
                     start,
                     end,
-                });
-            }
+                    ..whole
+                }));
             continue;
-        }
-        let (cycles, instructions) = golden.expect("complete cover has at least one row");
-        let result = match exhaustive {
-            Some(ex) => {
-                // Full class cover: weighted outcomes plus the pruned dead
-                // mass, credited Masked once. Margin is exactly 0 — every
-                // fault site of the population is classified — except for
-                // whole-campaign stratified rows, which carry the sampler's
-                // achieved margin through bit-exactly.
-                let mut final_counts = weighted;
-                final_counts.record_weighted(mbu_gefin::FaultEffect::Masked, ex.pruned);
-                mbu_gefin::campaign::CampaignResult {
-                    workload,
-                    component,
-                    faults,
-                    counts: final_counts,
-                    fault_free_cycles: cycles,
-                    fault_free_instructions: instructions,
-                    details: None,
-                    anomalies: mbu_gefin::campaign::AnomalyLog::new(),
-                    oracle_skips: 0,
-                    achieved_margin: Some(ex.stratified.map_or(0.0, |s| s.margin())),
-                    snapshot_stats: None,
-                }
-            }
-            None => {
-                let z = exp.adaptive.as_ref().map(|a| a.z).unwrap_or(Z_99);
-                mbu_gefin::campaign::CampaignResult {
-                    workload,
-                    component,
-                    faults,
-                    counts,
-                    fault_free_cycles: cycles,
-                    fault_free_instructions: instructions,
-                    details: None,
-                    anomalies: mbu_gefin::campaign::AnomalyLog::new(),
-                    oracle_skips: 0,
-                    achieved_margin: campaign_margin(component, &counts, cycles, z).ok(),
-                    snapshot_stats: None,
-                }
-            }
         };
-        match exhaustive {
-            Some(ex) => store.insert_exhaustive(
-                result,
-                crate::store::ExhaustiveMeta {
-                    // Exhaustive campaigns shard over live classes, so the
-                    // unit total *is* the simulated-class census; stratified
-                    // rows are one synthetic unit and carry theirs along.
-                    classes: ex.stratified.map_or(total as u64, |s| s.simulated),
-                    weight: ex.weight_total,
-                },
-                Some(fingerprint),
-            ),
-            None => store.insert_with_fingerprint(result, Some(fingerprint)),
-        }
+        let (result, meta) = source.finish(exp, &cover);
+        store.insert_flavored(result, Some(fingerprint), meta);
         report.campaigns_merged += 1;
         report.rows_merged += merged_rows;
     }
@@ -523,12 +404,11 @@ pub struct ShardAudit {
     /// Intact rows carrying class-range (exhaustive or stratified)
     /// annotations.
     pub exhaustive: usize,
-    /// Campaigns inside this shard whose class-range annotations fail
-    /// reconciliation: rows mixing run-range and class-range flavors,
-    /// disagreeing on the campaign-wide population or pruned mass, class
-    /// weights exceeding the campaign's live mass, or stratified rows not
-    /// covering it exactly. The merge would reject these, so they count
-    /// as defects.
+    /// Class campaigns (one key, one flavour) inside this shard whose
+    /// annotations fail reconciliation: rows disagreeing on the
+    /// campaign-wide population or pruned mass, class weights exceeding
+    /// the campaign's live mass, or a stratified row not covering it
+    /// exactly. The merge would reject these, so they count as defects.
     pub weight_defects: usize,
 }
 
@@ -586,37 +466,29 @@ pub fn audit_shard_dir(exp: &Experiments, dir: &Path) -> Result<Vec<ShardAudit>,
     Ok(audits)
 }
 
-/// Class-range reconciliation for one shard store: within every campaign,
-/// annotated rows must agree on the campaign-wide population and pruned
-/// mass, never mix with run-range rows, and their per-class weights must
-/// fit inside the campaign's live mass (a stratified annotation covers it
-/// exactly; exhaustive ranges, possibly partial in this shard, at most).
+/// Class-range reconciliation for one shard store, per campaign key and
+/// flavour (run-range rows are not its business): rows of one class
+/// campaign must agree on its population and pruned mass, and their class
+/// weights must fit inside its live mass — a stratified row covers it
+/// exactly, exhaustive ranges (possibly partial in this shard) at most.
 fn reconcile_exhaustive(rows: &[ShardRow], audit: &mut ShardAudit) {
-    let mut groups: BTreeMap<(HwComponent, Workload), Vec<&ShardRow>> = BTreeMap::new();
+    let mut groups: BTreeMap<(Key, FaultSource), Vec<ShardExhaustive>> = BTreeMap::new();
     for row in rows {
-        groups
-            .entry((row.unit.component, row.unit.workload))
-            .or_default()
-            .push(row);
-    }
-    for campaign in groups.values() {
-        let annotated: Vec<_> = campaign
-            .iter()
-            .filter_map(|r| r.exhaustive.as_ref())
-            .collect();
-        if annotated.is_empty() {
-            continue;
+        if let Some(ex) = row.exhaustive {
+            groups
+                .entry((row.unit.campaign_key(), FaultSource::of_row(row)))
+                .or_default()
+                .push(ex);
         }
+    }
+    for ((_, source), annotated) in &groups {
         audit.exhaustive += annotated.len();
         let first = annotated[0];
-        let agree = annotated.len() == campaign.len()
-            && annotated.iter().all(|ex| {
-                ex.weight_total == first.weight_total
-                    && ex.pruned == first.pruned
-                    && ex.stratified.is_some() == first.stratified.is_some()
-            });
+        let agree = annotated
+            .iter()
+            .all(|ex| (ex.weight_total, ex.pruned) == (first.weight_total, first.pruned));
         let live = first.weight_total.saturating_sub(first.pruned);
-        let covered = if first.stratified.is_some() {
+        let covered = if *source == FaultSource::Stratified {
             annotated.iter().all(|ex| ex.weighted.total() == live)
         } else {
             annotated.iter().map(|ex| ex.weighted.total()).sum::<u64>() <= live
@@ -648,190 +520,6 @@ pub fn spec_experiments(spec: &crate::protocol::ExpSpec, workload: Workload) -> 
 /// The in-flight unit a worker's heartbeat reports: (unit id,
 /// runs-started counter), shared with the control loop.
 type Pulse = Mutex<Option<(u64, Arc<AtomicUsize>)>>;
-
-type ArtifactKey = (Workload, bool, Option<u64>, Option<u64>);
-type ArtifactCache = BTreeMap<ArtifactKey, Result<Arc<GoldenArtifacts>, CampaignError>>;
-
-/// One compiled [`ExhaustivePlan`] per (campaign, snapshot knobs, equiv
-/// spec) per worker process: the golden + liveness capture and the
-/// partition are paid once, then every class-range unit of the campaign
-/// reuses them.
-type PlanKey = (
-    HwComponent,
-    Workload,
-    ExhaustiveSpec,
-    bool,
-    Option<u64>,
-    Option<u64>,
-);
-type PlanCache = BTreeMap<PlanKey, Result<Arc<ExhaustivePlan>, CampaignError>>;
-
-/// Executes one assigned unit and returns the shard row to persist plus
-/// the campaign's anomaly count.
-fn run_unit(
-    exp: &Experiments,
-    unit: &UnitSpec,
-    equiv: Option<&EquivSpec>,
-    artifacts: &mut ArtifactCache,
-    plans: &mut PlanCache,
-    chaos: &Arc<WorkerChaos>,
-    progress: &Arc<AtomicUsize>,
-) -> Result<(ShardRow, usize), CampaignError> {
-    if let Some(eq) = equiv {
-        return run_equiv_unit(exp, unit, eq, artifacts, plans, chaos, progress);
-    }
-    let chaos = Arc::clone(chaos);
-    let started = Arc::clone(progress);
-    let cfg = exp
-        .campaign_config(unit.component, unit.workload, unit.faults)
-        .with_run_hook(move |_| {
-            chaos.on_run();
-            started.fetch_add(1, Ordering::Relaxed);
-        });
-    let campaign = Campaign::try_new(cfg)?;
-    let key = (
-        unit.workload,
-        exp.use_snapshots,
-        exp.snapshot_interval,
-        exp.snapshot_mem_mb,
-    );
-    let shared = artifacts
-        .entry(key)
-        .or_insert_with(|| campaign.build_artifacts().map(Arc::new))
-        .clone()?;
-    let result = campaign.try_run_range_with_artifacts(unit.range(), Some(&shared))?;
-    let fingerprint = exp.artifact_fingerprint(&shared);
-    // An adaptive campaign may stop early; the row covers exactly the
-    // runs that were classified.
-    let executed = result.counts.total() as usize;
-    let row = ShardRow {
-        unit: UnitSpec {
-            end: unit.start + executed,
-            ..*unit
-        },
-        seed: exp.seed,
-        counts: result.counts,
-        fault_free_cycles: result.fault_free_cycles,
-        fault_free_instructions: result.fault_free_instructions,
-        fingerprint,
-        exhaustive: None,
-    };
-    Ok((row, result.anomalies.len()))
-}
-
-/// Executes one equivalence-class unit: a class-index range of an
-/// exhaustive campaign, or (when the spec carries a stratified sampler)
-/// the whole campaign as one `[0, 1)` unit.
-///
-/// The compiled [`ExhaustivePlan`] — golden run, liveness capture,
-/// partition — is cached per worker process, so every unit of a campaign
-/// after the first pays only its own class simulations. Golden artifacts
-/// are cached unconditionally (the row needs `instructions()` and the
-/// snapshot store drives locality scheduling).
-fn run_equiv_unit(
-    exp: &Experiments,
-    unit: &UnitSpec,
-    eq: &EquivSpec,
-    artifacts: &mut ArtifactCache,
-    plans: &mut PlanCache,
-    chaos: &Arc<WorkerChaos>,
-    progress: &Arc<AtomicUsize>,
-) -> Result<(ShardRow, usize), CampaignError> {
-    let plan_key = (
-        unit.component,
-        unit.workload,
-        eq.exhaustive,
-        exp.use_snapshots,
-        exp.snapshot_interval,
-        exp.snapshot_mem_mb,
-    );
-    let plan = plans
-        .entry(plan_key)
-        .or_insert_with(|| {
-            let chaos = Arc::clone(chaos);
-            let started = Arc::clone(progress);
-            let cfg = exp
-                .equiv_config(unit.component, unit.workload)
-                .with_run_hook(move |_| {
-                    chaos.on_run();
-                    started.fetch_add(1, Ordering::Relaxed);
-                });
-            ExhaustivePlan::try_new(cfg, eq.exhaustive).map(Arc::new)
-        })
-        .clone()?;
-    let artifact_key = (
-        unit.workload,
-        exp.use_snapshots,
-        exp.snapshot_interval,
-        exp.snapshot_mem_mb,
-    );
-    let shared = artifacts
-        .entry(artifact_key)
-        .or_insert_with(|| {
-            Campaign::try_new(exp.equiv_config(unit.component, unit.workload))
-                .and_then(|c| c.build_artifacts())
-                .map(Arc::new)
-        })
-        .clone()?;
-    let cov = plan.coverage();
-    let fingerprint = exp.artifact_fingerprint(&shared);
-    let row = match eq.stratified {
-        None => {
-            let outcomes = plan.run_class_range(unit.range(), Some(&shared))?;
-            let mut counts = ClassCounts::new();
-            let mut weighted = ClassCounts::new();
-            for o in &outcomes {
-                counts.record(o.effect);
-                weighted.record_weighted(o.effect, o.weight);
-            }
-            ShardRow {
-                unit: *unit,
-                seed: exp.seed,
-                counts,
-                fault_free_cycles: plan.partition().total_cycles(),
-                fault_free_instructions: shared.instructions(),
-                fingerprint,
-                exhaustive: Some(ShardExhaustive {
-                    weighted,
-                    weight_total: cov.population,
-                    pruned: cov.dead_weight,
-                    stratified: None,
-                }),
-            }
-        }
-        Some(spec) => {
-            let r = plan.run_stratified(spec, Some(&shared))?;
-            // The dead stratum is re-credited at merge from `pruned`;
-            // the row's weighted counts carry only the scaled live mass.
-            let mut weighted = r.campaign.counts;
-            weighted.masked -= cov.dead_weight;
-            let mut counts = ClassCounts::new();
-            counts.record_weighted(mbu_gefin::classify::FaultEffect::Masked, 1);
-            ShardRow {
-                unit: UnitSpec {
-                    start: 0,
-                    end: 1,
-                    ..*unit
-                },
-                seed: exp.seed,
-                counts,
-                fault_free_cycles: r.campaign.fault_free_cycles,
-                fault_free_instructions: r.campaign.fault_free_instructions,
-                fingerprint,
-                exhaustive: Some(ShardExhaustive {
-                    weighted,
-                    weight_total: cov.population,
-                    pruned: cov.dead_weight,
-                    stratified: Some(ShardStratified {
-                        margin_bits: r.campaign.achieved_margin.unwrap_or(0.0).to_bits(),
-                        simulated: r.simulated,
-                    }),
-                }),
-            }
-        }
-    };
-    Ok((row, 0))
-}
 
 /// The worker process's control loop: announce, then execute assignments
 /// until shutdown (or the supervisor disappears), persisting every
@@ -909,12 +597,19 @@ where
             }
         })
     };
-    let mut artifacts: ArtifactCache = BTreeMap::new();
-    let mut plans: PlanCache = BTreeMap::new();
+    let mut cache = UnitCache::default();
     // One worker-lifetime progress counter, reset per assignment: cached
-    // exhaustive plans bake the counter into their run hook, so it must
-    // outlive any single unit.
+    // exhaustive plans bake the run hook into their configuration, so it
+    // must outlive any single unit.
     let progress = Arc::new(AtomicUsize::new(0));
+    let hook: RunHook = {
+        let chaos = Arc::clone(&chaos);
+        let progress = Arc::clone(&progress);
+        Arc::new(move |_| {
+            chaos.on_run();
+            progress.fetch_add(1, Ordering::Relaxed);
+        })
+    };
     let mut garbage_sent = false;
     let outcome = loop {
         let msg = match read_frame(&mut input) {
@@ -938,15 +633,7 @@ where
                 progress.store(0, Ordering::Relaxed);
                 *pulse.lock().unwrap_or_else(|e| e.into_inner()) =
                     Some((unit_id, Arc::clone(&progress)));
-                let outcome = run_unit(
-                    &e,
-                    &unit,
-                    exp.equiv.as_ref(),
-                    &mut artifacts,
-                    &mut plans,
-                    &chaos,
-                    &progress,
-                );
+                let outcome = run_unit(&e, &unit, exp.equiv.as_ref(), &mut cache, &hook);
                 *pulse.lock().unwrap_or_else(|e| e.into_inner()) = None;
                 match outcome {
                     Ok((row, anomalies)) => {
@@ -996,6 +683,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ShardStratified;
+    use crate::supervisor::FabricConfig;
+    use mbu_cpu::HwComponent;
+    use mbu_gefin::classify::ClassCounts;
 
     fn exp(runs: usize) -> Experiments {
         Experiments {
@@ -1005,12 +696,30 @@ mod tests {
         }
     }
 
+    /// The units of every campaign of a sampled sweep over `components`,
+    /// split by the planner's rule for `workers` workers.
+    fn plan_sampled(e: &Experiments, components: &[HwComponent], workers: usize) -> Vec<UnitSpec> {
+        let config = FabricConfig {
+            workers,
+            ..FabricConfig::default()
+        };
+        e.sampled_campaigns(components)
+            .into_iter()
+            .flat_map(|(key, source)| source.split(e, &config, key, 0..e.runs))
+            .collect()
+    }
+
+    fn sampled_plan(e: &Experiments, key: Key) -> SweepPlan {
+        SweepPlan::from([(key, (FaultSource::Sampled, e.runs))])
+    }
+
     #[test]
     fn planner_covers_every_campaign_exactly() {
         let e = exp(100);
         let components = [HwComponent::L1D, HwComponent::RegFile];
-        let units = plan_units(&e, &components, 30);
-        // 2 components × 2 workloads × 3 cardinalities × ceil(100/30) units.
+        let units = plan_sampled(&e, &components, 1);
+        // 2 components × 2 workloads × 3 cardinalities × 100/(4 × 1 worker)
+        // = 4 units of 25 runs.
         assert_eq!(units.len(), 2 * 2 * 3 * 4);
         let mut by_key: BTreeMap<Key, Vec<&UnitSpec>> = BTreeMap::new();
         for u in &units {
@@ -1031,9 +740,33 @@ mod tests {
     fn planner_never_splits_adaptive_campaigns() {
         let mut e = exp(100);
         e.adaptive = Some(mbu_gefin::campaign::AdaptiveSpec::paper());
-        let units = plan_units(&e, &[HwComponent::L1D], 10);
+        let units = plan_sampled(&e, &[HwComponent::L1D], 4);
         assert_eq!(units.len(), 2 * 3, "one whole unit per campaign");
         assert!(units.iter().all(|u| u.start == 0 && u.end == 100));
+    }
+
+    #[test]
+    fn a_resumed_gap_splits_by_its_own_length() {
+        // A resumed campaign's missing range spreads over the workers like
+        // a fresh campaign does, however large the campaign around it.
+        let e = exp(100);
+        let config = FabricConfig {
+            workers: 3,
+            ..FabricConfig::default()
+        };
+        let key = (HwComponent::DTlb, Workload::Sha, 1);
+        let units = FaultSource::Exhaustive.split(&e, &config, key, 90_000..110_000);
+        // 20 000 classes / (4 × 3 workers) = 1 667 per unit.
+        assert_eq!(units.len(), 12);
+        let mut covered = 90_000;
+        for u in &units {
+            assert_eq!(u.start, covered, "exact adjacency, no gaps");
+            covered = u.end;
+        }
+        assert_eq!(covered, 110_000);
+        // The stratified sampler never splits.
+        let whole = FaultSource::Stratified.split(&e, &config, key, 0..1);
+        assert_eq!(whole.len(), 1);
     }
 
     #[test]
@@ -1133,9 +866,17 @@ mod tests {
             ex_row(key, 5, 9, 100, 150, 30, None),
         ];
         assert_eq!(defects(&over), (2, 1));
-        // Run-range and class-range flavors mixed in one campaign.
+        // A run-range row beside class-range rows of the same key belongs
+        // to the other kind of sweep, not to the class campaign.
         let mixed = [row(key, 0, 5, 7), ex_row(key, 5, 9, 40, 150, 30, None)];
-        assert_eq!(defects(&mixed), (1, 1));
+        assert_eq!(defects(&mixed), (1, 0));
+        let sampled_two = (key.0, key.1, 2);
+        let shared = [
+            clean[0].clone(),
+            row(sampled_two, 0, 10, 7),
+            clean[1].clone(),
+        ];
+        assert_eq!(defects(&shared), (2, 0));
         // A stratified annotation covers the live mass exactly — or not.
         let strat = Some(ShardStratified {
             margin_bits: 0.05_f64.to_bits(),
@@ -1165,14 +906,19 @@ mod tests {
             row(key, 25, 75, 7), // misaligned overlap
             row(key, 10, 20, 7), // fully covered later
         ];
-        let (store, report) = merge_rows(&e, &[key], &rows, &expected);
+        let (store, report) = merge_rows(&e, &sampled_plan(&e, key), &rows, &expected);
         assert_eq!(report.campaigns_merged, 1);
         assert!(report.gaps.is_empty());
         let r = store.get(key.0, key.1, key.2).expect("merged");
         assert_eq!(r.counts.total(), 100);
         assert!(r.achieved_margin.is_some());
         // Now a gap: only the tail is present.
-        let (store2, report2) = merge_rows(&e, &[key], &[row(key, 60, 100, 7)], &expected);
+        let (store2, report2) = merge_rows(
+            &e,
+            &sampled_plan(&e, key),
+            &[row(key, 60, 100, 7)],
+            &expected,
+        );
         assert_eq!(store2.len(), 0);
         assert_eq!(report2.gaps.len(), 1);
         assert_eq!((report2.gaps[0].start, report2.gaps[0].end), (0, 60));
@@ -1185,7 +931,7 @@ mod tests {
         let expected = expected_for(&e, 7);
         // Stale fingerprint on the head; fresh tail.
         let rows = vec![row(key, 0, 50, 999), row(key, 50, 100, 7)];
-        let (store, report) = merge_rows(&e, &[key], &rows, &expected);
+        let (store, report) = merge_rows(&e, &sampled_plan(&e, key), &rows, &expected);
         assert_eq!(store.len(), 0, "stale row must not merge");
         assert_eq!(report.stale_dropped, 1);
         assert_eq!(report.gaps.len(), 1);
@@ -1197,7 +943,7 @@ mod tests {
         // A wrong-seed row is equally stale.
         let mut alien = row(key, 0, 100, 7);
         alien.seed ^= 1;
-        let (store, report) = merge_rows(&e, &[key], &[alien], &expected);
+        let (store, report) = merge_rows(&e, &sampled_plan(&e, key), &[alien], &expected);
         assert_eq!(store.len(), 0);
         assert_eq!(report.stale_dropped, 1);
     }
@@ -1211,7 +957,7 @@ mod tests {
         twisted.counts.masked -= 1;
         twisted.counts.sdc += 1;
         let rows = vec![row(key, 0, 50, 7), twisted, row(key, 50, 100, 7)];
-        let (store, report) = merge_rows(&e, &[key], &rows, &expected);
+        let (store, report) = merge_rows(&e, &sampled_plan(&e, key), &rows, &expected);
         assert_eq!(store.len(), 0, "conflicting evidence must not merge");
         assert!(report.conflicts_dropped >= 1);
         assert_eq!(report.gaps.len(), 1);
@@ -1224,7 +970,12 @@ mod tests {
         let key = (HwComponent::L1D, Workload::Sha, 1);
         // No expected fingerprint for Sha at all.
         let expected = BTreeMap::new();
-        let (store, report) = merge_rows(&e, &[key], &[row(key, 0, 100, 7)], &expected);
+        let (store, report) = merge_rows(
+            &e,
+            &sampled_plan(&e, key),
+            &[row(key, 0, 100, 7)],
+            &expected,
+        );
         assert_eq!(store.len(), 0);
         assert!(report.gaps.is_empty(), "unplannable is not a gap");
         assert_eq!(report.stale_dropped, 1);

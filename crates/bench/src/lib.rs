@@ -4,10 +4,13 @@
 //! drives the functions in this crate. Performance is measured by the
 //! reference benchmark in `refbench/`, which builds against this crate.
 //!
-//! Campaign sweeps are crash-safe: [`Experiments::run_sweep`] skips
-//! campaigns the [`ResultStore`] already holds and flushes each finished
-//! campaign to the checkpoint CSV immediately, so an interrupted `measure`
-//! resumes where it stopped.
+//! Every sweep — sampled, exhaustive or stratified, in process or over
+//! the distributed fabric — is a list of `(campaign key, FaultSource)`
+//! pairs; the [`FaultSource`] sizes, splits, runs and merges each
+//! campaign's units. Sweeps are crash-safe:
+//! [`Experiments::run_campaigns`] skips campaigns the [`ResultStore`]
+//! already holds and flushes each finished campaign to the checkpoint CSV
+//! immediately, so an interrupted `measure` resumes where it stopped.
 //!
 //! Sweeps build one golden run (and snapshot store) per workload and share
 //! it across campaigns, and every campaign fast-forwards each injection
@@ -27,18 +30,20 @@ pub mod fabric;
 pub mod io;
 pub mod protocol;
 pub mod service;
+pub mod source;
 pub mod store;
 pub mod supervisor;
 
 pub use chaos::{ChaosIo, ChaosPlan, WorkerChaos};
 pub use experiments::{
-    split_equiv_components, ComponentData, ConfigError, EquivReport, Experiments, SweepControl,
-    SweepReport, EXHAUSTIVE_COMPONENTS, STRATIFIED_COMPONENTS,
+    ComponentData, ConfigError, Experiments, SweepControl, SweepReport, EXHAUSTIVE_COMPONENTS,
+    STRATIFIED_COMPONENTS,
 };
-pub use fabric::{plan_units, MergeReport, ShardAudit};
+pub use fabric::{MergeReport, ShardAudit, SweepPlan};
 pub use io::{RealIo, RetryIo, RetryPolicy, StoreIo};
 pub use protocol::{ExpSpec, Json, ProtocolError, ToSupervisor, ToWorker};
 pub use service::{run_daemon, ServeConfig, SweepBackend};
+pub use source::FaultSource;
 pub use store::{
     AnalyticalRow, AnalyticalStore, LoadAudit, QuarantinedRow, ResultStore, RowDefect, ShardRow,
     ShardStore, StoreError, StoreVersion,

@@ -20,7 +20,7 @@
 use crate::experiments::{env_value, parse_env, ConfigError, Experiments};
 use crate::store::component_slug;
 use crate::supervisor::{FabricConfig, FabricEvent, Supervisor, SweepOptions, WorkerPool};
-use crate::{split_equiv_components, ResultStore, EXHAUSTIVE_COMPONENTS};
+use crate::{ResultStore, EXHAUSTIVE_COMPONENTS};
 use mbu_cpu::HwComponent;
 use mbu_gefin::json::Json;
 use mbu_serve::{
@@ -471,33 +471,22 @@ impl JobBackend for SweepBackend {
             })),
             cancel: Some(Arc::clone(&stop)),
         };
-        let result = if exhaustive {
-            // Class-range dispatch: exhaustive campaigns on the small
-            // structures, stratified on the big arrays. A job runs in one
-            // mode for its whole life, so its private shard dir never
-            // mixes run-range and class-range flavors.
-            let (ex, strat) = split_equiv_components(&components);
-            Supervisor::run_equiv(
-                &exp,
-                &ex,
-                &strat,
-                &fabric,
-                &shard_dir,
-                &out_csv,
-                WorkerPool::Spawn,
-                opts,
-            )
+        // Class campaigns are exhaustive on the small structures and
+        // stratified on the big arrays.
+        let campaigns = if exhaustive {
+            exp.class_campaigns(&components)
         } else {
-            Supervisor::run_with(
-                &exp,
-                &components,
-                &fabric,
-                &shard_dir,
-                &out_csv,
-                WorkerPool::Spawn,
-                opts,
-            )
+            exp.sampled_campaigns(&components)
         };
+        let result = Supervisor::run_campaigns(
+            &exp,
+            &campaigns,
+            &fabric,
+            &shard_dir,
+            &out_csv,
+            WorkerPool::Spawn,
+            opts,
+        );
         finished.store(true, Ordering::SeqCst);
         let _ = watcher.join();
         match result {

@@ -265,17 +265,20 @@ impl ResultStore {
         self.entries.insert(key, r);
     }
 
-    /// Inserts an equivalence-class campaign result with its
-    /// [`ExhaustiveMeta`] annotation and fingerprint.
-    pub fn insert_exhaustive(
+    /// [`ResultStore::insert_with_fingerprint`] for either flavor: with
+    /// `Some(meta)` the result is an equivalence-class campaign carrying
+    /// its [`ExhaustiveMeta`] annotation.
+    pub fn insert_flavored(
         &mut self,
         r: CampaignResult,
-        meta: ExhaustiveMeta,
         fingerprint: Option<GoldenFingerprint>,
+        meta: Option<ExhaustiveMeta>,
     ) {
         let key = (r.component, r.workload, r.faults);
         self.insert_with_fingerprint(r, fingerprint);
-        self.exhaustive_meta.insert(key, meta);
+        if let Some(meta) = meta {
+            self.exhaustive_meta.insert(key, meta);
+        }
     }
 
     /// The exhaustive annotation of a stored result, if it carries one.
@@ -580,10 +583,7 @@ impl ResultStore {
             };
             match parsed {
                 Ok((result, fingerprint, meta)) => {
-                    match meta {
-                        Some(meta) => store.insert_exhaustive(result, meta, fingerprint),
-                        None => store.insert_with_fingerprint(result, fingerprint),
-                    }
+                    store.insert_flavored(result, fingerprint, meta);
                     audit.rows_loaded += 1;
                 }
                 Err(defect) => audit.quarantined.push(QuarantinedRow {
@@ -1426,10 +1426,10 @@ mod tests {
             weight: 100, // == sample counts.total()
         };
         let mut s = ResultStore::new();
-        s.insert_exhaustive(
+        s.insert_flavored(
             exhaustive_sample(HwComponent::DTlb, Workload::Sha),
-            meta,
             Some(GoldenFingerprint(0x0123_4567_89AB_CDEF)),
+            Some(meta),
         );
         s.insert(sample(HwComponent::L1D, Workload::Sha, 1));
         let csv = s.to_csv();
@@ -1477,7 +1477,7 @@ mod tests {
         let tampered_csv = |classes: u64, weight: u64| {
             let r = exhaustive_sample(HwComponent::DTlb, Workload::Sha);
             let mut s = ResultStore::new();
-            s.insert_exhaustive(r, ExhaustiveMeta { classes, weight }, None);
+            s.insert_flavored(r, None, Some(ExhaustiveMeta { classes, weight }));
             s.to_csv()
         };
         // Re-checksum a body so only the semantic validation can object.

@@ -25,6 +25,13 @@
 //!   ([`UnitSpec::split_at`]) and run speculatively elsewhere; the merge's
 //!   exact-adjacency dedup resolves the overlap whichever side finishes.
 //!
+//! A sweep is a list of `(campaign key, FaultSource)` pairs. Each
+//! campaign's source sizes and splits its unit space (runs, live classes
+//! or the one stratified unit), tells the worker how to run a unit, and
+//! names the one shard-row flavour the merge accepts for it — so sampled
+//! and class sweeps share one planner, one worker executor, one merge and
+//! one shard directory.
+//!
 //! Durability is delegated: workers persist every completed unit to their
 //! own checksummed shard store *before* acknowledging it, and the final
 //! [`merge_rows`] (plus the pre-flight merge on startup) reads those
@@ -32,20 +39,18 @@
 //! same sweep resumes from the shard directory and produces a final store
 //! byte-identical to a single-process sweep.
 
-use crate::experiments::{env_value, parse_env, parse_switch, ConfigError};
-use crate::fabric::{
-    campaign_keys, load_shard_dir, merge_rows, merge_rows_with_totals, split_range, MergeReport,
-};
+use crate::experiments::{env_value, parse_env, ConfigError};
+use crate::fabric::{load_shard_dir, merge_rows, MergeReport, SweepPlan};
 use crate::io::RealIo;
 use crate::protocol::{
-    read_frame, write_frame, EquivSpec, ExpSpec, Json, ProtocolError, ToSupervisor, ToWorker,
+    read_frame, write_frame, ExpSpec, Json, ProtocolError, ToSupervisor, ToWorker,
 };
-use crate::store::{ExhaustiveMeta, Key, ResultStore, ShardStore, StoreError};
+use crate::source::{FaultSource, UnitSpace};
+use crate::store::{Key, ResultStore, ShardRow, ShardStore, StoreError};
 use crate::Experiments;
 use mbu_cpu::HwComponent;
 use mbu_gefin::campaign::{Anomaly, AnomalyKind, AnomalyLog, UnitSpec};
 use mbu_gefin::error::CampaignError;
-use mbu_gefin::exhaustive::{ExhaustivePlan, ExhaustiveSpec, StratifiedSpec};
 use mbu_gefin::integrity::{golden_fingerprint, GoldenFingerprint};
 use mbu_workloads::Workload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,22 +63,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Supervisor knobs, env-configurable (`MBU_WORKERS`, `MBU_UNIT_RUNS`,
-/// `MBU_UNIT_CLASSES`, `MBU_HEARTBEAT_MS`, `MBU_STALL_SECS`,
-/// `MBU_UNIT_DEADLINE_SECS`, `MBU_UNIT_RETRIES`, `MBU_STEAL`,
+/// Supervisor knobs, env-configurable (`MBU_WORKERS`, `MBU_HEARTBEAT_MS`,
+/// `MBU_STALL_SECS`, `MBU_UNIT_DEADLINE_SECS`, `MBU_UNIT_RETRIES`,
 /// `MBU_DISK_WATERMARK_MB`, `MBU_BREAKER_TRIP`, `MBU_BREAKER_COOLDOWN_MS`,
 /// `MBU_RETRY_BUDGET`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
-    /// Worker processes (`MBU_WORKERS`, default 2, must be ≥ 1).
+    /// Worker processes (`MBU_WORKERS`, default 2, must be ≥ 1); they also
+    /// size the planned units ([`FabricConfig::unit_size`]).
     pub workers: usize,
-    /// Runs per planned unit (`MBU_UNIT_RUNS`, 0 = auto-size from the
-    /// worker count; adaptive sweeps always use whole campaigns).
-    pub unit_runs: usize,
-    /// Live classes per planned unit of a distributed exhaustive sweep
-    /// (`MBU_UNIT_CLASSES`, 0 = auto-size from the worker count;
-    /// stratified campaigns always dispatch as one whole-campaign unit).
-    pub unit_classes: usize,
     /// Worker heartbeat interval (`MBU_HEARTBEAT_MS`, default 100 ms).
     pub heartbeat: Duration,
     /// Silence window after which a busy worker is declared stalled and
@@ -87,7 +85,8 @@ pub struct FabricConfig {
     pub max_attempts: usize,
     /// Base retry backoff, doubled per attempt (default 200 ms).
     pub retry_backoff: Duration,
-    /// Work-stealing of straggler tails (`MBU_STEAL`, default on).
+    /// Work-stealing of straggler tails (default on; off only where a test
+    /// needs a deterministic schedule).
     pub steal: bool,
     /// Smallest tail worth stealing, in runs (default 8).
     pub min_steal_runs: usize,
@@ -117,8 +116,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         Self {
             workers: 2,
-            unit_runs: 0,
-            unit_classes: 0,
             heartbeat: Duration::from_millis(100),
             stall_timeout: Duration::from_secs(30),
             unit_deadline: None,
@@ -155,12 +152,6 @@ impl FabricConfig {
                 });
             }
         }
-        if let Some(v) = env_value("MBU_UNIT_RUNS")? {
-            c.unit_runs = parse_env("MBU_UNIT_RUNS", &v, "must be an integer")?;
-        }
-        if let Some(v) = env_value("MBU_UNIT_CLASSES")? {
-            c.unit_classes = parse_env("MBU_UNIT_CLASSES", &v, "must be an integer")?;
-        }
         if let Some(v) = env_value("MBU_HEARTBEAT_MS")? {
             c.heartbeat =
                 Duration::from_millis(parse_env("MBU_HEARTBEAT_MS", &v, "must be an integer")?);
@@ -185,9 +176,6 @@ impl FabricConfig {
                     expected: "must be a positive integer",
                 });
             }
-        }
-        if let Some(v) = env_value("MBU_STEAL")? {
-            c.steal = parse_switch("MBU_STEAL", &v)?;
         }
         if let Some(v) = env_value("MBU_DISK_WATERMARK_MB")? {
             c.disk_watermark_mb = Some(parse_env(
@@ -219,29 +207,12 @@ impl FabricConfig {
         Ok(c)
     }
 
-    /// The planned unit size: the explicit `unit_runs`, or an auto size
-    /// giving each worker several units per campaign for stealing slack.
-    pub fn effective_unit_runs(&self, runs: usize) -> usize {
-        if self.unit_runs != 0 {
-            self.unit_runs
-        } else {
-            runs.div_ceil(self.workers * 4).max(8).min(runs.max(1))
-        }
-    }
-
-    /// The planned class-range size of an exhaustive campaign with
-    /// `classes` live classes: the explicit `unit_classes`, or the same
-    /// auto sizing as [`FabricConfig::effective_unit_runs`] over the
-    /// live-class unit space.
-    pub fn effective_unit_classes(&self, classes: usize) -> usize {
-        if self.unit_classes != 0 {
-            self.unit_classes
-        } else {
-            classes
-                .div_ceil(self.workers * 4)
-                .max(8)
-                .min(classes.max(1))
-        }
+    /// The planned unit size for a gap of `n` runs or live classes (a
+    /// fresh campaign is one gap over its whole unit space): about four
+    /// units per worker, for stealing slack, but never under 8 or over
+    /// the gap.
+    pub fn unit_size(&self, n: usize) -> usize {
+        n.div_ceil(self.workers * 4).max(8).min(n.max(1))
     }
 }
 
@@ -666,6 +637,19 @@ struct UnitState {
     last_error: String,
 }
 
+impl UnitState {
+    /// A unit never attempted, eligible from `eligible_at`.
+    fn new(spec: UnitSpec, eligible_at: Instant) -> Self {
+        Self {
+            spec,
+            attempts: 0,
+            failed_on: BTreeSet::new(),
+            eligible_at,
+            last_error: String::new(),
+        }
+    }
+}
+
 struct Flight {
     state: UnitState,
     worker: usize,
@@ -675,46 +659,12 @@ struct Flight {
     stolen: bool,
 }
 
-/// What kind of units a supervised sweep dispatches and how its shard
-/// rows merge back into campaigns.
-enum SweepMode {
-    /// Sampled run-range units: every campaign's unit space is the
-    /// sweep-wide `exp.runs` (adaptive campaigns go whole).
-    Runs {
-        /// The components swept, for the final merge's key set.
-        components: Vec<HwComponent>,
-    },
-    /// Equivalence-class units: exhaustive campaigns shard by live-class
-    /// range, stratified campaigns dispatch as one whole-campaign
-    /// sampler unit.
-    Equiv {
-        /// The exhaustive spec every worker compiles its plan under.
-        exhaustive: ExhaustiveSpec,
-        /// The sampler stratified campaigns run.
-        sampler: StratifiedSpec,
-        /// Per-campaign unit-space size: the supervisor-validated live
-        /// class count (exhaustive) or 1 (stratified). Also the merge's
-        /// completeness reference.
-        totals: Vec<(Key, usize)>,
-        /// Campaigns dispatched as whole-campaign stratified samplers.
-        stratified: BTreeSet<Key>,
-    },
-}
-
-/// Component sets selecting the sweep flavor at entry.
-enum ModeInput<'c> {
-    Runs(&'c [HwComponent]),
-    Equiv {
-        exhaustive: &'c [HwComponent],
-        stratified: &'c [HwComponent],
-    },
-}
-
 /// The supervisor: plans, schedules, merges.
 pub struct Supervisor<'a> {
     exp: &'a Experiments,
     config: &'a FabricConfig,
-    mode: SweepMode,
+    /// Every planned campaign's source and unit-space size.
+    plan: SweepPlan,
     shard_dir: PathBuf,
     expected: BTreeMap<Workload, GoldenFingerprint>,
     slots: Vec<Slot>,
@@ -767,9 +717,9 @@ fn spawn_reader(
 }
 
 impl<'a> Supervisor<'a> {
-    /// Plans a sweep over `components` and runs it to completion on the
-    /// given pool, returning the merged accounting. The merged final
-    /// store is saved to `out_csv` atomically.
+    /// Plans a sampled sweep over `components` and runs it to completion
+    /// on the given pool, returning the merged accounting. The merged
+    /// final store is saved to `out_csv` atomically.
     ///
     /// # Errors
     ///
@@ -796,11 +746,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// [`Supervisor::run`] with observer and control hooks: a live
-    /// [`FabricEvent`] sink and a cooperative cancellation flag. On
-    /// cancellation the sweep drains in-flight units (their rows become
-    /// durable), merges the partial coverage, and returns with
-    /// `report.cancelled == true` — the shard directory resumes exactly
-    /// where it stopped.
+    /// [`FabricEvent`] sink and a cooperative cancellation flag.
     ///
     /// # Errors
     ///
@@ -814,64 +760,29 @@ impl<'a> Supervisor<'a> {
         pool: WorkerPool,
         opts: SweepOptions,
     ) -> Result<(ResultStore, FabricReport), FabricError> {
-        Self::run_inner(
-            exp,
-            ModeInput::Runs(components),
-            config,
-            shard_dir,
-            out_csv,
-            pool,
-            opts,
-        )
+        let campaigns = exp.sampled_campaigns(components);
+        Self::run_campaigns(exp, &campaigns, config, shard_dir, out_csv, pool, opts)
     }
 
-    /// Plans and runs a distributed *equivalence-class* sweep: every
-    /// campaign in `exhaustive_components` is sharded by live-class range
-    /// (one simulation per class, dead classes credited `Masked` at
-    /// merge), every campaign in `stratified_components` dispatches as a
-    /// single whole-campaign stratified-sampler unit. All campaigns are
-    /// single-bit.
+    /// Plans and runs a distributed sweep of `campaigns`, each drawn from
+    /// its [`FaultSource`]: sampled campaigns shard by run range,
+    /// exhaustive ones by live-class range (dead classes credited `Masked`
+    /// at merge), stratified ones dispatch as one whole-campaign sampler
+    /// unit. The merged store is byte-identical to the in-process
+    /// [`Experiments::run_campaigns`] over the same list.
     ///
-    /// The supervisor compiles each exhaustive campaign's
-    /// [`ExhaustivePlan`] itself — the `LiveIndex` is the unit space, and
-    /// the `CoverageReport` proves the partition exact *before* anything
-    /// is dispatched. Workers compile the identical plan (the spec rides
-    /// the wire) and cache it across that campaign's units, so the merged
-    /// store is byte-identical to a single-process
-    /// [`Experiments::run_equiv_with`].
+    /// On cancellation the sweep drains in-flight units (their rows become
+    /// durable), merges the partial coverage, and returns with
+    /// `report.cancelled == true` — the shard directory resumes exactly
+    /// where it stopped.
     ///
     /// # Errors
     ///
-    /// As [`Supervisor::run`]. Campaigns whose plan cannot compile are
-    /// quarantined, not fatal.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_equiv(
+    /// As [`Supervisor::run`]. Campaigns that cannot be planned (an
+    /// exhaustive plan that does not compile) are quarantined, not fatal.
+    pub fn run_campaigns(
         exp: &'a Experiments,
-        exhaustive_components: &[HwComponent],
-        stratified_components: &[HwComponent],
-        config: &'a FabricConfig,
-        shard_dir: &Path,
-        out_csv: &Path,
-        pool: WorkerPool,
-        opts: SweepOptions,
-    ) -> Result<(ResultStore, FabricReport), FabricError> {
-        Self::run_inner(
-            exp,
-            ModeInput::Equiv {
-                exhaustive: exhaustive_components,
-                stratified: stratified_components,
-            },
-            config,
-            shard_dir,
-            out_csv,
-            pool,
-            opts,
-        )
-    }
-
-    fn run_inner(
-        exp: &'a Experiments,
-        input: ModeInput<'_>,
+        campaigns: &[(Key, FaultSource)],
         config: &'a FabricConfig,
         shard_dir: &Path,
         out_csv: &Path,
@@ -879,32 +790,13 @@ impl<'a> Supervisor<'a> {
         opts: SweepOptions,
     ) -> Result<(ResultStore, FabricReport), FabricError> {
         std::fs::create_dir_all(shard_dir)?;
-        let (events_tx, events) = mpsc::channel();
-        let mut sup = Supervisor {
+        let mut sup = Supervisor::new(
             exp,
             config,
-            mode: SweepMode::Runs {
-                components: Vec::new(),
-            },
-            shard_dir: shard_dir.to_path_buf(),
-            expected: BTreeMap::new(),
-            slots: Vec::new(),
-            events,
-            events_tx,
-            pending: Vec::new(),
-            in_flight: BTreeMap::new(),
-            next_unit_id: 0,
-            report: FabricReport::default(),
-            can_respawn: matches!(pool, WorkerPool::Spawn),
-            chaos_targets: crate::chaos::WorkerChaos::targets_from_env(),
+            shard_dir,
+            matches!(pool, WorkerPool::Spawn),
             opts,
-            conn_rx: None,
-            respawn_deficit: 0,
-            consecutive_losses: 0,
-            breaker_open_until: None,
-            disk_paused: false,
-            last_disk_probe: None,
-        };
+        );
         // Golden fingerprints per workload: the freshness reference for
         // resume skipping, shard-row validation and the final merge.
         for &w in &exp.workloads {
@@ -916,31 +808,18 @@ impl<'a> Supervisor<'a> {
             }
         }
         let mut existing = sup.load_existing(out_csv)?;
-        let campaigns = match input {
-            ModeInput::Runs(components) => {
-                sup.mode = SweepMode::Runs {
-                    components: components.to_vec(),
-                };
-                sup.plan(components, &existing)?;
-                campaign_keys(exp, components).len()
-            }
-            ModeInput::Equiv {
-                exhaustive,
-                stratified,
-            } => {
-                sup.plan_equiv(exhaustive, stratified, &mut existing)?;
-                (exhaustive.len() + stratified.len()) * exp.workloads.len()
-            }
-        };
+        sup.plan(campaigns, &mut existing)?;
         if sup.config.verbose {
             eprintln!(
-                "fabric: {} unit(s) planned across {campaigns} campaign(s), {} worker(s)",
-                sup.report.units_planned, config.workers,
+                "fabric: {} unit(s) planned across {} campaign(s), {} worker(s)",
+                sup.report.units_planned,
+                campaigns.len(),
+                config.workers,
             );
         }
         sup.emit(FabricEvent::Planned {
             units: sup.report.units_planned,
-            campaigns,
+            campaigns: campaigns.len(),
         });
         if sup.cancel_requested() {
             // Cancelled before any dispatch: merge whatever the shard
@@ -960,6 +839,41 @@ impl<'a> Supervisor<'a> {
             sup.shutdown_workers();
         }
         sup.finish(existing, out_csv)
+    }
+
+    /// A supervisor with nothing planned, no workers and no golden
+    /// fingerprints yet.
+    fn new(
+        exp: &'a Experiments,
+        config: &'a FabricConfig,
+        shard_dir: &Path,
+        can_respawn: bool,
+        opts: SweepOptions,
+    ) -> Self {
+        let (events_tx, events) = mpsc::channel();
+        Supervisor {
+            exp,
+            config,
+            plan: SweepPlan::new(),
+            shard_dir: shard_dir.to_path_buf(),
+            expected: BTreeMap::new(),
+            slots: Vec::new(),
+            events,
+            events_tx,
+            pending: Vec::new(),
+            in_flight: BTreeMap::new(),
+            next_unit_id: 0,
+            report: FabricReport::default(),
+            can_respawn,
+            chaos_targets: crate::chaos::WorkerChaos::targets_from_env(),
+            opts,
+            conn_rx: None,
+            respawn_deficit: 0,
+            consecutive_losses: 0,
+            breaker_open_until: None,
+            disk_paused: false,
+            last_disk_probe: None,
+        }
     }
 
     fn emit(&mut self, ev: FabricEvent) {
@@ -983,11 +897,9 @@ impl<'a> Supervisor<'a> {
         for r in disk.iter() {
             let stored = disk.fingerprint(r.component, r.workload, r.faults);
             if stored.is_some() && stored == self.expected.get(&r.workload).copied() {
-                // Exhaustive rows keep their coverage metadata on resume.
-                match disk.exhaustive_meta(r.component, r.workload, r.faults) {
-                    Some(meta) => fresh.insert_exhaustive(r.clone(), meta, stored),
-                    None => fresh.insert_with_fingerprint(r.clone(), stored),
-                }
+                // Class rows keep their coverage metadata on resume.
+                let meta = disk.exhaustive_meta(r.component, r.workload, r.faults);
+                fresh.insert_flavored(r.clone(), stored, meta);
                 self.report.skipped_existing += 1;
             } else {
                 self.report.stale_rerun += 1;
@@ -996,36 +908,40 @@ impl<'a> Supervisor<'a> {
         Ok(fresh)
     }
 
-    /// Plans pending units: all campaigns not already in the final store,
-    /// minus whatever complete coverage the shard directory already holds
-    /// (supervisor-crash resume), split into unit-sized ranges.
+    /// Plans pending units: every campaign not already in the final store
+    /// gets its unit space sized by its source, minus whatever complete
+    /// coverage the shard directory already holds (supervisor-crash
+    /// resume), and each gap is split by its source into units.
     fn plan(
         &mut self,
-        components: &[HwComponent],
-        existing: &ResultStore,
+        campaigns: &[(Key, FaultSource)],
+        existing: &mut ResultStore,
     ) -> Result<(), FabricError> {
-        let keys: Vec<Key> = campaign_keys(self.exp, components)
-            .into_iter()
-            .filter(|&(c, w, f)| !existing.contains(c, w, f))
-            .filter(|&(_, w, _)| self.expected.contains_key(&w))
-            .collect();
+        for &(key, source) in campaigns {
+            let (component, w, faults) = key;
+            if existing.contains(component, w, faults) || !self.expected.contains_key(&w) {
+                continue;
+            }
+            match source.unit_space(self.exp, key) {
+                Ok(UnitSpace::Units(total)) => {
+                    self.plan.insert(key, (source, total));
+                }
+                // Every class is provably dead: resolved supervisor-side,
+                // so the merge never sees a zero-row cover.
+                Ok(UnitSpace::Resolved(result, meta)) => {
+                    existing.insert_flavored(*result, self.expected.get(&w).copied(), Some(meta));
+                }
+                Err(e) => self.quarantine_campaign(key, &e.to_string()),
+            }
+        }
         let (rows, _audits) = load_shard_dir(&RealIo, &self.shard_dir)?;
-        let (_pre, pre_report) = merge_rows(self.exp, &keys, &rows, &self.expected);
-        let unit_runs = if self.exp.adaptive.is_some() {
-            0
-        } else {
-            self.config.effective_unit_runs(self.exp.runs)
-        };
+        let (_pre, pre_report) = merge_rows(self.exp, &self.plan, &rows, &self.expected);
         let now = Instant::now();
         for gap in &pre_report.gaps {
-            for spec in split_range(gap.campaign_key(), gap.start, gap.end, unit_runs) {
-                self.pending.push(UnitState {
-                    spec,
-                    attempts: 0,
-                    failed_on: BTreeSet::new(),
-                    eligible_at: now,
-                    last_error: String::new(),
-                });
+            let key = gap.campaign_key();
+            let (source, _) = self.plan[&key];
+            for spec in source.split(self.exp, self.config, key, gap.range()) {
+                self.pending.push(UnitState::new(spec, now));
             }
         }
         // Deterministic dispatch order.
@@ -1035,121 +951,8 @@ impl<'a> Supervisor<'a> {
         Ok(())
     }
 
-    /// Plans an equivalence-class sweep: compiles every exhaustive
-    /// campaign's [`ExhaustivePlan`] supervisor-side so the `LiveIndex`
-    /// defines the unit space and the `CoverageReport` proves the
-    /// partition exact before dispatch; stratified campaigns become one
-    /// whole-campaign unit each. Shard rows already on disk pre-merge
-    /// exactly as in run-range mode, so a crashed sweep resumes from its
-    /// class-range gaps.
-    fn plan_equiv(
-        &mut self,
-        exhaustive_components: &[HwComponent],
-        stratified_components: &[HwComponent],
-        existing: &mut ResultStore,
-    ) -> Result<(), FabricError> {
-        let ex_spec = self.exp.exhaustive_spec();
-        let sampler = self.exp.stratified_spec();
-        let mut totals: Vec<(Key, usize)> = Vec::new();
-        let mut stratified: BTreeSet<Key> = BTreeSet::new();
-        for (i, &component) in exhaustive_components
-            .iter()
-            .chain(stratified_components)
-            .enumerate()
-        {
-            let is_exhaustive = i < exhaustive_components.len();
-            for &w in &self.exp.workloads.clone() {
-                let key = (component, w, 1);
-                if existing.contains(component, w, 1) || !self.expected.contains_key(&w) {
-                    continue;
-                }
-                if !is_exhaustive {
-                    totals.push((key, 1));
-                    stratified.insert(key);
-                    continue;
-                }
-                let plan =
-                    match ExhaustivePlan::try_new(self.exp.equiv_config(component, w), ex_spec) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            self.quarantine_campaign(key, &format!("plan compilation: {e}"));
-                            continue;
-                        }
-                    };
-                let cov = plan.coverage();
-                if cov.holes != 0 || cov.overlaps != 0 {
-                    self.quarantine_campaign(
-                        key,
-                        &format!(
-                            "coverage proof failed: {} hole(s), {} overlap(s)",
-                            cov.holes, cov.overlaps
-                        ),
-                    );
-                    continue;
-                }
-                if plan.live_classes() == 0 {
-                    // Every class is provably dead: nothing to dispatch.
-                    // Resolve the campaign supervisor-side so the merge
-                    // never sees a zero-row cover.
-                    match plan.run(None) {
-                        Ok(r) => {
-                            let meta = ExhaustiveMeta {
-                                classes: r.simulated,
-                                weight: r.coverage.population,
-                            };
-                            existing.insert_exhaustive(
-                                r.campaign,
-                                meta,
-                                self.expected.get(&w).copied(),
-                            );
-                        }
-                        Err(e) => {
-                            self.quarantine_campaign(key, &format!("dead-only campaign: {e}"))
-                        }
-                    }
-                    continue;
-                }
-                totals.push((key, plan.live_classes()));
-            }
-        }
-        // Pre-merge whatever class ranges the shard directory already
-        // holds (supervisor-crash resume), then split the gaps.
-        let (rows, _audits) = load_shard_dir(&RealIo, &self.shard_dir)?;
-        let (_pre, pre_report) = merge_rows_with_totals(self.exp, &totals, &rows, &self.expected);
-        let now = Instant::now();
-        for gap in &pre_report.gaps {
-            let key = gap.campaign_key();
-            // A stratified sampler is indivisible (its one unit is the
-            // whole campaign); exhaustive gaps split into class ranges.
-            let unit_classes = if stratified.contains(&key) {
-                0
-            } else {
-                self.config.effective_unit_classes(gap.len())
-            };
-            for spec in split_range(key, gap.start, gap.end, unit_classes) {
-                self.pending.push(UnitState {
-                    spec,
-                    attempts: 0,
-                    failed_on: BTreeSet::new(),
-                    eligible_at: now,
-                    last_error: String::new(),
-                });
-            }
-        }
-        self.pending
-            .sort_by_key(|u| (u.spec.campaign_key(), u.spec.start));
-        self.report.units_planned = self.pending.len();
-        self.mode = SweepMode::Equiv {
-            exhaustive: ex_spec,
-            sampler,
-            totals,
-            stratified,
-        };
-        Ok(())
-    }
-
-    /// Quarantines a whole campaign at planning time (plan compilation or
-    /// coverage-proof failure) as its zero-length unit — the same
+    /// Quarantines a whole campaign at planning time (an exhaustive plan
+    /// that does not compile) as its zero-length unit — the same
     /// accounting path units that fail at execution time take.
     fn quarantine_campaign(&mut self, key: Key, why: &str) {
         let (component, workload, faults) = key;
@@ -1176,25 +979,9 @@ impl<'a> Supervisor<'a> {
         self.report.quarantined.push((spec, why.to_string()));
     }
 
-    /// The per-unit equivalence-class instruction, if this sweep
-    /// dispatches class units: the shared exhaustive spec, plus the
-    /// sampler for campaigns in the stratified set.
-    fn unit_equiv(&self, key: Key) -> Option<EquivSpec> {
-        match &self.mode {
-            SweepMode::Runs { .. } => None,
-            SweepMode::Equiv {
-                exhaustive,
-                sampler,
-                stratified,
-                ..
-            } => Some(EquivSpec {
-                exhaustive: *exhaustive,
-                stratified: stratified.contains(&key).then_some(*sampler),
-            }),
-        }
-    }
-
-    fn exp_spec(&self, equiv: Option<EquivSpec>) -> ExpSpec {
+    /// The wire instruction for a unit of the planned campaign `key`.
+    fn exp_spec(&self, key: Key) -> ExpSpec {
+        let (source, _) = self.plan[&key];
         ExpSpec {
             runs: self.exp.runs,
             seed: self.exp.seed,
@@ -1203,7 +990,7 @@ impl<'a> Supervisor<'a> {
             use_snapshots: self.exp.use_snapshots,
             snapshot_interval: self.exp.snapshot_interval,
             snapshot_mem_mb: self.exp.snapshot_mem_mb,
-            equiv,
+            equiv: source.wire(self.exp),
         }
     }
 
@@ -1366,7 +1153,7 @@ impl<'a> Supervisor<'a> {
         let msg = ToWorker::Assign {
             unit_id,
             unit: state.spec,
-            exp: self.exp_spec(self.unit_equiv(state.spec.campaign_key())),
+            exp: self.exp_spec(state.spec.campaign_key()),
         };
         if self.config.verbose {
             eprintln!(
@@ -1635,13 +1422,7 @@ impl<'a> Supervisor<'a> {
             eprintln!("fabric: stealing tail {tail} from worker {worker} (unit {unit_id})");
         }
         self.emit(FabricEvent::TailStolen { unit: tail, worker });
-        self.pending.push(UnitState {
-            spec: tail,
-            attempts: 0,
-            failed_on: BTreeSet::new(),
-            eligible_at: Instant::now(),
-            last_error: String::new(),
-        });
+        self.pending.push(UnitState::new(tail, Instant::now()));
     }
 
     /// The scheduler loop: dispatch, supervise, reclaim, until no work
@@ -1733,6 +1514,29 @@ impl<'a> Supervisor<'a> {
         }
     }
 
+    /// Takes the still-pending unit that the replayed durable row `row`
+    /// completes (finished but never acknowledged before its worker died)
+    /// off the queue instead of re-running it, and counts it recovered.
+    /// An in-flight duplicate is left alone — the merge dedups rows. So is
+    /// a stale row, and a row of the other kind of sweep for the same key
+    /// (a shard file shared across sweeps): its flavour is not the one the
+    /// campaign's planned source writes.
+    fn recover_unit(&mut self, row: &ShardRow) -> Option<UnitSpec> {
+        let planned = self
+            .plan
+            .get(&row.unit.campaign_key())
+            .is_some_and(|&(source, _)| source == FaultSource::of_row(row));
+        let fresh = planned
+            && row.seed == self.exp.seed
+            && self.expected.get(&row.unit.workload) == Some(&row.fingerprint);
+        if !fresh {
+            return None;
+        }
+        let i = self.pending.iter().position(|u| u.spec == row.unit)?;
+        self.report.units_recovered += 1;
+        Some(self.pending.remove(i).spec)
+    }
+
     fn on_message(&mut self, slot: usize, msg: ToSupervisor) -> Result<(), FabricError> {
         if !self.slots[slot].alive {
             // Late message from a worker already declared dead; its rows
@@ -1786,30 +1590,19 @@ impl<'a> Supervisor<'a> {
                         &row,
                     )?;
                 }
-                // If the row retires a still-pending unit (completed but
-                // never acknowledged before the worker died), take it off
-                // the queue instead of re-running it. An in-flight
-                // duplicate is left alone — the merge dedups rows.
-                let fresh = row.seed == self.exp.seed
-                    && self.expected.get(&row.unit.workload) == Some(&row.fingerprint);
-                if fresh {
-                    if let Some(i) = self.pending.iter().position(|u| u.spec == row.unit) {
-                        let state = self.pending.remove(i);
-                        self.report.units_recovered += 1;
-                        if self.config.verbose {
-                            eprintln!(
-                                "fabric: unit {} recovered from worker {slot}'s shard \
-                                 (completed before its previous session died)",
-                                state.spec
-                            );
-                        }
-                        self.emit(FabricEvent::UnitRecovered {
-                            unit: state.spec,
-                            worker: slot,
-                            completed: self.report.units_completed + self.report.units_recovered,
-                            planned: self.report.units_planned,
-                        });
+                if let Some(unit) = self.recover_unit(&row) {
+                    if self.config.verbose {
+                        eprintln!(
+                            "fabric: unit {unit} recovered from worker {slot}'s shard \
+                             (completed before its previous session died)"
+                        );
                     }
+                    self.emit(FabricEvent::UnitRecovered {
+                        unit,
+                        worker: slot,
+                        completed: self.report.units_completed + self.report.units_recovered,
+                        planned: self.report.units_planned,
+                    });
                 }
             }
             ToSupervisor::Heartbeat { unit_id, done } => {
@@ -1949,29 +1742,18 @@ impl<'a> Supervisor<'a> {
         out_csv: &Path,
     ) -> Result<(ResultStore, FabricReport), FabricError> {
         let (rows, _audits) = load_shard_dir(&RealIo, &self.shard_dir)?;
-        let (merged, merge_report) = match &self.mode {
-            SweepMode::Runs { components } => {
-                let keys: Vec<Key> = campaign_keys(self.exp, components)
-                    .into_iter()
-                    .filter(|&(c, w, f)| !existing.contains(c, w, f))
-                    .collect();
-                merge_rows(self.exp, &keys, &rows, &self.expected)
-            }
-            // `totals` only ever holds campaigns that were not already in
-            // the final store at planning time, so no filtering here.
-            SweepMode::Equiv { totals, .. } => {
-                merge_rows_with_totals(self.exp, totals, &rows, &self.expected)
-            }
-        };
+        // The plan only ever holds campaigns that were not already in the
+        // final store, so no filtering here.
+        let (merged, merge_report) = merge_rows(self.exp, &self.plan, &rows, &self.expected);
         let mut store = existing;
         for r in merged.iter() {
-            let fp = merged.fingerprint(r.component, r.workload, r.faults);
-            // Exhaustive campaigns carry their coverage metadata
-            // (classes, population) into the final store.
-            match merged.exhaustive_meta(r.component, r.workload, r.faults) {
-                Some(meta) => store.insert_exhaustive(r.clone(), meta, fp),
-                None => store.insert_with_fingerprint(r.clone(), fp),
-            }
+            // Class campaigns carry their coverage metadata (classes,
+            // population) into the final store.
+            store.insert_flavored(
+                r.clone(),
+                merged.fingerprint(r.component, r.workload, r.faults),
+                merged.exhaustive_meta(r.component, r.workload, r.faults),
+            );
         }
         store.save(out_csv)?;
         self.report.merge = merge_report;
@@ -2017,7 +1799,6 @@ mod tests {
             "MBU_BREAKER_TRIP",
             "MBU_BREAKER_COOLDOWN_MS",
             "MBU_RETRY_BUDGET",
-            "MBU_UNIT_CLASSES",
         ] {
             std::env::set_var(var, "banana");
             let err = FabricConfig::from_env().unwrap_err();
@@ -2027,10 +1808,6 @@ mod tests {
             );
             std::env::remove_var(var);
         }
-        // A negative class count is garbage too (usize parse).
-        std::env::set_var("MBU_UNIT_CLASSES", "-4");
-        assert!(FabricConfig::from_env().is_err());
-        std::env::remove_var("MBU_UNIT_CLASSES");
         // Zero is not a sane breaker trip point (it could never close).
         std::env::set_var("MBU_BREAKER_TRIP", "0");
         assert!(FabricConfig::from_env().is_err());
@@ -2040,19 +1817,16 @@ mod tests {
         std::env::set_var("MBU_BREAKER_TRIP", "5");
         std::env::set_var("MBU_BREAKER_COOLDOWN_MS", "750");
         std::env::set_var("MBU_RETRY_BUDGET", "12");
-        std::env::set_var("MBU_UNIT_CLASSES", "64");
         let c = FabricConfig::from_env().unwrap();
         assert_eq!(c.disk_watermark_mb, Some(256));
         assert_eq!(c.breaker_trip, 5);
         assert_eq!(c.breaker_cooldown, Duration::from_millis(750));
         assert_eq!(c.retry_budget, Some(12));
-        assert_eq!(c.unit_classes, 64);
         for var in [
             "MBU_DISK_WATERMARK_MB",
             "MBU_BREAKER_TRIP",
             "MBU_BREAKER_COOLDOWN_MS",
             "MBU_RETRY_BUDGET",
-            "MBU_UNIT_CLASSES",
         ] {
             std::env::remove_var(var);
         }
@@ -2065,17 +1839,67 @@ mod tests {
             ..FabricConfig::default()
         };
         // 150 runs / (3 workers × 4) = 13 runs per unit.
-        assert_eq!(c.effective_unit_runs(150), 13);
+        assert_eq!(c.unit_size(150), 13);
         // Tiny campaigns never split below 8 runs…
-        assert_eq!(c.effective_unit_runs(20), 8);
+        assert_eq!(c.unit_size(20), 8);
         // …and a unit never exceeds the campaign.
-        assert_eq!(c.effective_unit_runs(5), 5);
-        // An explicit size wins.
-        let c = FabricConfig {
-            unit_runs: 25,
-            ..FabricConfig::default()
+        assert_eq!(c.unit_size(5), 5);
+    }
+
+    /// A rejoining worker's shard file may hold rows of the other kind of
+    /// sweep: a replayed row retires a pending unit only when its flavour
+    /// is the one the campaign's planned source writes.
+    #[test]
+    fn replayed_row_retires_only_a_unit_of_its_own_flavour() {
+        use crate::store::ShardExhaustive;
+        use mbu_gefin::classify::ClassCounts;
+
+        let exp = Experiments {
+            workloads: vec![Workload::Sha],
+            ..Experiments::default()
         };
-        assert_eq!(c.effective_unit_runs(150), 25);
+        let config = FabricConfig::default();
+        let dir = std::env::temp_dir().join("mbu-recover-unit-test");
+        let mut sup = Supervisor::new(&exp, &config, &dir, false, SweepOptions::default());
+        let key = (HwComponent::DTlb, Workload::Sha, 1);
+        let fp = GoldenFingerprint(0xFEED);
+        sup.expected.insert(Workload::Sha, fp);
+        sup.plan.insert(key, (FaultSource::Exhaustive, 40));
+        let unit = UnitSpec {
+            component: key.0,
+            workload: key.1,
+            faults: key.2,
+            start: 0,
+            end: 10,
+        };
+        sup.pending.push(UnitState::new(unit, Instant::now()));
+        let sampled = ShardRow {
+            unit,
+            seed: exp.seed,
+            counts: ClassCounts::new(),
+            fault_free_cycles: 0,
+            fault_free_instructions: 0,
+            fingerprint: fp,
+            exhaustive: None,
+        };
+        let class_range = ShardRow {
+            exhaustive: Some(ShardExhaustive {
+                weighted: ClassCounts::new(),
+                weight_total: 100,
+                pruned: 0,
+                stratified: None,
+            }),
+            ..sampled.clone()
+        };
+        // The same `UnitSpec` from a sampled sweep leaves the class unit
+        // pending.
+        assert_eq!(sup.recover_unit(&sampled), None);
+        assert_eq!(sup.pending.len(), 1);
+        assert_eq!(sup.report.units_recovered, 0);
+        // The class-range row the unit itself writes retires it.
+        assert_eq!(sup.recover_unit(&class_range), Some(unit));
+        assert!(sup.pending.is_empty());
+        assert_eq!(sup.report.units_recovered, 1);
     }
 
     #[test]
@@ -2085,16 +1909,10 @@ mod tests {
             ..FabricConfig::default()
         };
         // 1000 live classes / (4 workers × 4) = 63 classes per unit.
-        assert_eq!(c.effective_unit_classes(1000), 63);
+        assert_eq!(c.unit_size(1000), 63);
         // Tiny campaigns never split below 8 classes…
-        assert_eq!(c.effective_unit_classes(20), 8);
-        // …a unit never exceeds the live-class count…
-        assert_eq!(c.effective_unit_classes(3), 3);
-        // …and an explicit `MBU_UNIT_CLASSES` wins.
-        let c = FabricConfig {
-            unit_classes: 50,
-            ..FabricConfig::default()
-        };
-        assert_eq!(c.effective_unit_classes(1000), 50);
+        assert_eq!(c.unit_size(20), 8);
+        // …and a unit never exceeds the live-class count.
+        assert_eq!(c.unit_size(3), 3);
     }
 }

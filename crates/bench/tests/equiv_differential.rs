@@ -199,6 +199,11 @@ fn stratified_big_arrays_beat_uniform_2000_run_margin_with_5x_fewer_sims() {
             .expect("baseline margin over a nonempty population");
         let achieved = r.campaign.achieved_margin.expect("stratified margin");
         assert!(
+            r.draws >= StratifiedSpec::paper().min_draws,
+            "{component}/{w}: {} draws is under the paper spec's floor",
+            r.draws
+        );
+        assert!(
             achieved <= baseline,
             "{component}/{w}: margin {achieved} misses the uniform baseline {baseline}"
         );

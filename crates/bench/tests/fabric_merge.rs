@@ -5,9 +5,9 @@
 //! coverage. A deterministic engine means any exact cover of `0..runs`
 //! must splice to the same campaign result, bit for bit.
 
-use mbu_bench::fabric::{merge_rows, merge_rows_with_totals};
-use mbu_bench::store::ShardExhaustive;
-use mbu_bench::{Experiments, ShardRow};
+use mbu_bench::fabric::merge_rows;
+use mbu_bench::store::{ShardExhaustive, ShardStratified};
+use mbu_bench::{Experiments, FaultSource, ShardRow, SweepPlan};
 use mbu_cpu::HwComponent;
 use mbu_gefin::campaign::UnitSpec;
 use mbu_gefin::classify::ClassCounts;
@@ -31,6 +31,17 @@ fn exp(runs: usize) -> Experiments {
 
 fn key() -> (HwComponent, Workload, usize) {
     (HwComponent::L1D, Workload::Sha, 1)
+}
+
+/// The plan of a one-campaign sweep of [`key`] drawn from `source`, whose
+/// unit space holds `units` units.
+fn plan(source: FaultSource, units: usize) -> SweepPlan {
+    SweepPlan::from([(key(), (source, units))])
+}
+
+/// The plan of the sampled sweep over [`key`].
+fn sampled(exp: &Experiments) -> SweepPlan {
+    plan(FaultSource::Sampled, exp.runs)
 }
 
 /// The synthetic per-run classification: what a deterministic engine
@@ -190,8 +201,8 @@ proptest! {
         }
         shuffle(&mut rows, perm);
 
-        let reference = merge_rows(&e, &[key()], &[row(&e, 0, runs, FP)], &expected());
-        let (store, report) = merge_rows(&e, &[key()], &rows, &expected());
+        let reference = merge_rows(&e, &sampled(&e), &[row(&e, 0, runs, FP)], &expected());
+        let (store, report) = merge_rows(&e, &sampled(&e), &rows, &expected());
         prop_assert!(report.is_complete(), "gaps from an exact cover: {:?}", report.gaps);
         prop_assert_eq!(report.campaigns_merged, 1);
         prop_assert_eq!(report.stale_dropped, 0);
@@ -204,7 +215,7 @@ proptest! {
 
         // Idempotence: a second merge of the same shard rows (as after a
         // supervisor crash + restart) is bit-identical.
-        let (again, report_again) = merge_rows(&e, &[key()], &rows, &expected());
+        let (again, report_again) = merge_rows(&e, &sampled(&e), &rows, &expected());
         prop_assert_eq!(again.to_csv(), store.to_csv());
         prop_assert_eq!(report_again, report);
 
@@ -212,7 +223,7 @@ proptest! {
         // same rows in a different order account identically.
         let mut reshuffled = rows.clone();
         shuffle(&mut reshuffled, perm.wrapping_add(1));
-        let (other, other_report) = merge_rows(&e, &[key()], &reshuffled, &expected());
+        let (other, other_report) = merge_rows(&e, &sampled(&e), &reshuffled, &expected());
         prop_assert_eq!(other.to_csv(), store.to_csv());
         prop_assert_eq!(other_report, report);
     }
@@ -237,7 +248,7 @@ proptest! {
         }
         let mut rows = vec![row(&e, 0, mid, FP), tail];
         shuffle(&mut rows, perm);
-        let (store, report) = merge_rows(&e, &[key()], &rows, &expected());
+        let (store, report) = merge_rows(&e, &sampled(&e), &rows, &expected());
         prop_assert_eq!(store.len(), 0, "partial campaign must not merge");
         prop_assert_eq!(report.stale_dropped, 1);
         prop_assert_eq!(report.campaigns_merged, 0);
@@ -252,8 +263,8 @@ proptest! {
         let mut rows = cover(&e, &[mid]);
         rows.push(row(&e, 0, runs, STALE_FP));
         shuffle(&mut rows, perm.wrapping_add(7));
-        let reference = merge_rows(&e, &[key()], &[row(&e, 0, runs, FP)], &expected());
-        let (store, report) = merge_rows(&e, &[key()], &rows, &expected());
+        let reference = merge_rows(&e, &sampled(&e), &[row(&e, 0, runs, FP)], &expected());
+        let (store, report) = merge_rows(&e, &sampled(&e), &rows, &expected());
         prop_assert_eq!(report.stale_dropped, 1);
         prop_assert!(report.is_complete());
         prop_assert_eq!(store.to_csv(), reference.0.to_csv());
@@ -278,8 +289,8 @@ proptest! {
         let (reloaded, audit) = mbu_bench::ShardStore::from_csv_lossy(&shard.to_csv())
             .expect("round-trip parses");
         prop_assert!(audit.quarantined.is_empty());
-        let (direct, _) = merge_rows(&e, &[key()], &rows, &expected());
-        let (via_csv, _) = merge_rows(&e, &[key()], reloaded.rows(), &expected());
+        let (direct, _) = merge_rows(&e, &sampled(&e), &rows, &expected());
+        let (via_csv, _) = merge_rows(&e, &sampled(&e), reloaded.rows(), &expected());
         prop_assert_eq!(via_csv.to_csv(), direct.to_csv());
     }
 
@@ -296,11 +307,11 @@ proptest! {
         let cuts: Vec<usize> = raw_cuts.iter().map(|c| 1 + c.index(classes - 1)).collect();
         let mut rows = ex_cover(&e, classes, &cuts);
         shuffle(&mut rows, perm);
-        let totals = [(key(), classes)];
-        let reference = merge_rows_with_totals(
+        let totals = plan(FaultSource::Exhaustive, classes);
+        let reference = merge_rows(
             &e, &totals, &[ex_row(&e, 0, classes, classes)], &expected(),
         );
-        let (store, report) = merge_rows_with_totals(&e, &totals, &rows, &expected());
+        let (store, report) = merge_rows(&e, &totals, &rows, &expected());
         prop_assert!(report.is_complete(), "gaps from an exact cover: {:?}", report.gaps);
         prop_assert_eq!(report.campaigns_merged, 1);
         prop_assert_eq!(store.to_csv(), reference.0.to_csv());
@@ -315,30 +326,23 @@ proptest! {
         prop_assert_eq!(meta.weight, ex_population(classes));
     }
 
-    /// Flavor mixing and population disagreement are conflicts, never
+    /// Class rows disagreeing on the population are conflicts, never
     /// merged: the whole campaign becomes a gap so it re-runs cleanly.
     #[test]
-    fn mixed_or_disagreeing_exhaustive_rows_conflict(
+    fn disagreeing_exhaustive_rows_conflict(
         classes in 4usize..40,
         cut in any::<prop::sample::Index>(),
-        disagree in any::<bool>(),
         perm in any::<u64>(),
     ) {
         let e = exp(classes);
         let mid = 1 + cut.index(classes - 1);
         let mut tail = ex_row(&e, mid, classes, classes);
-        if disagree {
-            // Same flavor, different claimed population.
-            tail.exhaustive.as_mut().unwrap().weight_total += 1;
-        } else {
-            // Sampled row inside an exhaustive campaign.
-            tail.exhaustive = None;
-        }
+        tail.exhaustive.as_mut().unwrap().weight_total += 1;
         let mut rows = vec![ex_row(&e, 0, mid, classes), tail];
         shuffle(&mut rows, perm);
-        let totals = [(key(), classes)];
-        let (store, report) = merge_rows_with_totals(&e, &totals, &rows, &expected());
-        prop_assert_eq!(store.len(), 0, "conflicting flavor must not merge");
+        let (store, report) =
+            merge_rows(&e, &plan(FaultSource::Exhaustive, classes), &rows, &expected());
+        prop_assert_eq!(store.len(), 0, "conflicting populations must not merge");
         prop_assert_eq!(report.campaigns_merged, 0);
         prop_assert!(report.conflicts_dropped > 0);
         prop_assert_eq!(
@@ -346,6 +350,60 @@ proptest! {
             vec![UnitSpec { start: 0, end: classes, ..rows[0].unit }],
             "the whole campaign is the re-run plan"
         );
+    }
+
+    /// One shard directory shared by every kind of sweep: a sampled
+    /// sweep's run-range rows, an exhaustive sweep's class-range rows and
+    /// a stratified row, all for the same `(component, workload, 1)` key
+    /// and mixed in any order, merge under each sweep's plan exactly as
+    /// that sweep's rows alone. The other sweeps' rows belong to other
+    /// campaigns: they raise no conflict, leave no gap and count nowhere.
+    #[test]
+    fn mixed_flavour_rows_merge_as_each_sweeps_rows_alone(
+        runs in 4usize..48,
+        classes in 4usize..40,
+        run_cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
+        class_cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
+        perm in any::<u64>(),
+    ) {
+        let e = exp(runs);
+        let cuts = |raw: &[prop::sample::Index], n: usize| -> Vec<usize> {
+            raw.iter().map(|c| 1 + c.index(n - 1)).collect()
+        };
+        let run_rows = cover(&e, &cuts(&run_cuts, runs));
+        let class_rows = ex_cover(&e, classes, &cuts(&class_cuts, classes));
+        let mut strat_row = row(&e, 0, 1, FP);
+        strat_row.counts = range_counts(0, 1);
+        strat_row.exhaustive = Some(ShardExhaustive {
+            weighted: ClassCounts { masked: 60, sdc: 40, ..ClassCounts::new() },
+            weight_total: 100 + PRUNED,
+            pruned: PRUNED,
+            stratified: Some(ShardStratified {
+                margin_bits: 0.025_f64.to_bits(),
+                simulated: 37,
+            }),
+        });
+        let mut mixed: Vec<ShardRow> = run_rows
+            .iter()
+            .chain(&class_rows)
+            .cloned()
+            .chain([strat_row.clone()])
+            .collect();
+        shuffle(&mut mixed, perm);
+        let sweeps = [
+            (sampled(&e), run_rows),
+            (plan(FaultSource::Exhaustive, classes), class_rows),
+            (plan(FaultSource::Stratified, 1), vec![strat_row]),
+        ];
+        for (sweep, alone) in &sweeps {
+            let (reference, reference_report) = merge_rows(&e, sweep, alone, &expected());
+            let (store, report) = merge_rows(&e, sweep, &mixed, &expected());
+            prop_assert!(report.is_complete(), "gaps: {:?}", report.gaps);
+            prop_assert_eq!(report.conflicts_dropped, 0);
+            prop_assert_eq!(report.campaigns_merged, 1);
+            prop_assert_eq!(store.to_csv(), reference.to_csv());
+            prop_assert_eq!(report, reference_report);
+        }
     }
 
     /// Work-stealing on class ranges: any sequence of `split_at` steals

@@ -146,11 +146,11 @@ fn every_readme_row_names_a_knob_the_code_reads() {
 #[test]
 fn knob_scanner_finds_quoted_and_bare_names() {
     assert_eq!(
-        knob_names(r#"x "MBU_RUNS" MBU_SEED=1 XMBU_STEAL "MBU_" MBU_STEAL"#),
+        knob_names(r#"x "MBU_RUNS" MBU_SEED=1 XMBU_WORKERS "MBU_" MBU_WORKERS"#),
         vec![
             ("MBU_RUNS".to_string(), true),
             ("MBU_SEED".to_string(), false),
-            ("MBU_STEAL".to_string(), false),
+            ("MBU_WORKERS".to_string(), false),
         ]
     );
 }
