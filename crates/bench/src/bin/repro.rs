@@ -23,7 +23,7 @@
 //!   sweep            distributed measure: spawns MBU_WORKERS (or
 //!                    --workers N) supervised worker processes, shards
 //!                    every campaign into run-ranges, retries lost or
-//!                    stalled workers, steals straggler tails, and merges
+//!                    stalled workers (retries dispatch first), and merges
 //!                    the per-worker shard stores into --out — the merged
 //!                    CSV is byte-identical to a single-process measure
 //!   worker           one sweep worker (supervisor-spawned over stdio, or
@@ -375,12 +375,11 @@ fn measure_all(e: &Experiments, opts: &Options, store: &mut ResultStore) {
 /// completed clean (no quarantined units, full merge coverage).
 fn report_fabric(report: &FabricReport, store: &ResultStore, out: &std::path::Path) -> bool {
     eprintln!(
-        "fabric: {} unit(s) planned, {} completed, {} retried, {} stolen tail(s); \
+        "fabric: {} unit(s) planned, {} completed, {} retried; \
          {} worker(s) spawned, {} lost",
         report.units_planned,
         report.units_completed,
         report.retries,
-        report.steals,
         report.workers_spawned,
         report.workers_lost,
     );

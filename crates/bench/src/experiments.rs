@@ -507,7 +507,7 @@ impl Experiments {
         artifacts: &GoldenArtifacts,
     ) -> Result<CampaignResult, CampaignError> {
         Campaign::try_new(self.campaign_config(component, workload, faults))?
-            .try_run_with_artifacts(Some(artifacts))
+            .try_run_range(0..self.runs, artifacts)
     }
 
     /// Builds the golden artifacts of `workload` (golden run plus snapshot

@@ -26,7 +26,8 @@
 //!   quarantined by [`ShardStore::recover_with`];
 //! * a row whose seed or golden-run fingerprint does not match the current
 //!   sweep is *stale* — dropped and re-run, never merged;
-//! * duplicated work (retry after a lost worker, work-stealing overlap) is
+//! * duplicated work (a retried unit whose first attempt also persisted, or
+//!   a resumed sweep whose units were split for another worker count) is
 //!   deduplicated by greedy exact-adjacency splicing: at each point only a
 //!   row starting exactly at the covered frontier extends the cover;
 //!   fully-covered duplicates and misaligned overlaps are dropped and
@@ -93,8 +94,8 @@ pub struct MergeReport {
     pub campaigns_merged: usize,
     /// Rows whose counts entered a merged campaign.
     pub rows_merged: usize,
-    /// Exact re-executions of already-covered ranges (retry or steal
-    /// overlap), dropped.
+    /// Exact re-executions of already-covered ranges (a retried unit or a
+    /// resumed sweep's re-split gap), dropped.
     pub duplicates_dropped: usize,
     /// Rows overlapping the covered frontier without aligning to it;
     /// counts cannot be spliced mid-range, so they are dropped.
@@ -119,9 +120,9 @@ impl MergeReport {
 }
 
 /// A deterministic total order on rows of one campaign: by range start,
-/// then *longer ranges first* (a straggler's full-range row beats the
-/// stolen tail's sub-ranges), then by payload so ties never depend on
-/// input order.
+/// then *longer ranges first* (a full-range row beats sub-ranges of the
+/// same runs, such as a resumed sweep's re-split gap), then by payload so
+/// ties never depend on input order.
 fn row_order(a: &ShardRow, b: &ShardRow) -> std::cmp::Ordering {
     (a.unit.start, std::cmp::Reverse(a.unit.end))
         .cmp(&(b.unit.start, std::cmp::Reverse(b.unit.end)))

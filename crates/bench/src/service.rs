@@ -251,7 +251,6 @@ fn summary_json(store_len: usize, report: &crate::supervisor::FabricReport) -> J
             Json::usize(report.units_recovered),
         ),
         ("retries".into(), Json::usize(report.retries)),
-        ("steals".into(), Json::usize(report.steals)),
         (
             "workers_spawned".into(),
             Json::usize(report.workers_spawned),

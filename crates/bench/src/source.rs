@@ -313,8 +313,7 @@ pub(crate) fn run_unit(
         let cfg = exp
             .campaign_config(unit.component, unit.workload, unit.faults)
             .with_run_hook(move |i| hook(i));
-        let result =
-            Campaign::try_new(cfg)?.try_run_range_with_artifacts(unit.range(), Some(&shared))?;
+        let result = Campaign::try_new(cfg)?.try_run_range(unit.range(), &shared)?;
         // An adaptive campaign may stop early; the row covers exactly the
         // runs that were classified.
         row.unit.end = unit.start + result.counts.total() as usize;

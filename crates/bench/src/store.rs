@@ -876,9 +876,9 @@ impl ShardLoadAudit {
 
 /// Append-ordered store of [`ShardRow`]s — one worker's durable record of
 /// every unit it completed. Unlike [`ResultStore`] it is *not* keyed:
-/// duplicate and overlapping ranges are legal on disk (retry and
-/// work-stealing produce them) and are resolved by the supervisor's merge,
-/// not the store.
+/// duplicate and overlapping ranges are legal on disk (retries and resumed
+/// sweeps with another worker count produce them) and are resolved by the
+/// supervisor's merge, not the store.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardStore {
     rows: Vec<ShardRow>,

@@ -5,9 +5,11 @@
 //! Fault model and responses:
 //!
 //! * **Lost worker** (process exit, broken pipe, closed socket) — the
-//!   in-flight unit is retried on a surviving worker with bounded backoff;
-//!   a replacement process is spawned (local pools only). Logged as a
-//!   [`AnomalyKind::WorkerLost`] anomaly so degraded sweeps are auditable.
+//!   in-flight unit is retried on a surviving worker with bounded backoff,
+//!   ahead of every planned unit once the backoff has passed, so it does
+//!   not become the sweep's tail; a replacement process is spawned (local
+//!   pools only). Logged as a [`AnomalyKind::WorkerLost`] anomaly so
+//!   degraded sweeps are auditable.
 //! * **Stalled worker** (no message for [`FabricConfig::stall_timeout`]) —
 //!   killed and treated as lost ([`AnomalyKind::WorkerStall`]). A hung
 //!   worker stops heartbeating, so this is the reclaim path for freezes.
@@ -20,10 +22,10 @@
 //!   [`FabricConfig::max_attempts`], is quarantined
 //!   ([`AnomalyKind::UnitQuarantined`]): the sweep completes degraded
 //!   rather than aborting or retrying forever.
-//! * **Straggler tails** — when workers idle and nothing is pending, the
-//!   remaining tail of the slowest in-flight unit is split off
-//!   ([`UnitSpec::split_at`]) and run speculatively elsewhere; the merge's
-//!   exact-adjacency dedup resolves the overlap whichever side finishes.
+//!
+//! Load balance comes from unit size alone ([`FabricConfig::unit_size`]:
+//! about four units per worker). Nothing is run speculatively, so a unit's
+//! work is only ever repeated when a worker is lost or a unit fails.
 //!
 //! A sweep is a list of `(campaign key, FaultSource)` pairs. Each
 //! campaign's source sizes and splits its unit space (runs, live classes
@@ -85,11 +87,6 @@ pub struct FabricConfig {
     pub max_attempts: usize,
     /// Base retry backoff, doubled per attempt (default 200 ms).
     pub retry_backoff: Duration,
-    /// Work-stealing of straggler tails (default on; off only where a test
-    /// needs a deterministic schedule).
-    pub steal: bool,
-    /// Smallest tail worth stealing, in runs (default 8).
-    pub min_steal_runs: usize,
     /// Free-disk watermark in MiB under the shard directory
     /// (`MBU_DISK_WATERMARK_MB`, default none). Below it, the supervisor
     /// pauses assigning new units — pending work queues, shard appends
@@ -121,8 +118,6 @@ impl Default for FabricConfig {
             unit_deadline: None,
             max_attempts: 3,
             retry_backoff: Duration::from_millis(200),
-            steal: true,
-            min_steal_runs: 8,
             disk_watermark_mb: None,
             breaker_trip: 3,
             breaker_cooldown: Duration::from_millis(2000),
@@ -209,8 +204,8 @@ impl FabricConfig {
 
     /// The planned unit size for a gap of `n` runs or live classes (a
     /// fresh campaign is one gap over its whole unit space): about four
-    /// units per worker, for stealing slack, but never under 8 or over
-    /// the gap.
+    /// units per worker, so an idle worker finds more work while a slow
+    /// unit finishes, but never under 8 or over the gap.
     pub fn unit_size(&self, n: usize) -> usize {
         n.div_ceil(self.workers * 4).max(8).min(n.max(1))
     }
@@ -338,13 +333,6 @@ pub enum FabricEvent {
         /// Display form of the error.
         error: String,
     },
-    /// A straggler's tail was split off for speculative execution.
-    TailStolen {
-        /// The stolen tail range.
-        unit: UnitSpec,
-        /// Worker slot still running the head.
-        worker: usize,
-    },
     /// A unit was abandoned after deterministic failure or attempt
     /// exhaustion.
     Quarantined {
@@ -401,7 +389,6 @@ impl FabricEvent {
             FabricEvent::UnitDone { .. } => "unit-done",
             FabricEvent::UnitRecovered { .. } => "unit-recovered",
             FabricEvent::UnitFailed { .. } => "unit-failed",
-            FabricEvent::TailStolen { .. } => "tail-stolen",
             FabricEvent::Quarantined { .. } => "quarantined",
             FabricEvent::DiskPressure { .. } => "disk-pressure",
             FabricEvent::Cancelled => "cancelled",
@@ -465,10 +452,6 @@ impl FabricEvent {
                 fields.push(("worker".into(), Json::usize(*worker)));
                 fields.push(("error".into(), Json::str(error)));
             }
-            FabricEvent::TailStolen { unit, worker } => {
-                fields.push(("unit".into(), unit_json(unit)));
-                fields.push(("worker".into(), Json::usize(*worker)));
-            }
             FabricEvent::Quarantined { unit, why } => {
                 fields.push(("unit".into(), unit_json(unit)));
                 fields.push(("why".into(), Json::str(why)));
@@ -524,11 +507,12 @@ pub struct SweepOptions {
 pub struct FabricReport {
     /// Units planned this invocation (after resume skipping).
     pub units_planned: usize,
-    /// Units that completed (including steal tails and retries).
+    /// Units that completed (including retries).
     pub units_completed: usize,
     /// Retries scheduled (worker loss, stall, deadline, typed failure).
     pub retries: usize,
-    /// Straggler tails split off and run speculatively.
+    /// Always 0: no unit is split or run speculatively. Kept only because
+    /// the reference benchmark still reports it as `fabric.steals`.
     pub steals: usize,
     /// Worker processes spawned (including replacements).
     pub workers_spawned: usize,
@@ -654,9 +638,6 @@ struct Flight {
     state: UnitState,
     worker: usize,
     started: Instant,
-    /// Runs the worker reported started (heartbeats).
-    progress: usize,
-    stolen: bool,
 }
 
 /// The supervisor: plans, schedules, merges.
@@ -1134,7 +1115,10 @@ impl<'a> Supervisor<'a> {
         }
     }
 
-    /// Whether any unit is eligible now (vs. backing off).
+    /// Takes the next unit to dispatch, if any is eligible now (a retry
+    /// waits out its backoff): retried units first, so a unit lost with its
+    /// worker does not wait behind every planned unit and become the
+    /// sweep's tail, then by campaign key and start.
     fn next_pending(&mut self) -> Option<UnitState> {
         let now = Instant::now();
         let idx = self
@@ -1142,7 +1126,7 @@ impl<'a> Supervisor<'a> {
             .iter()
             .enumerate()
             .filter(|(_, u)| u.eligible_at <= now)
-            .min_by_key(|(_, u)| (u.eligible_at, u.spec.campaign_key(), u.spec.start))
+            .min_by_key(|(_, u)| (u.attempts == 0, u.spec.campaign_key(), u.spec.start))
             .map(|(i, _)| i)?;
         Some(self.pending.remove(idx))
     }
@@ -1172,8 +1156,6 @@ impl<'a> Supervisor<'a> {
                         state,
                         worker: slot,
                         started: Instant::now(),
-                        progress: 0,
-                        stolen: false,
                     },
                 );
                 Ok(())
@@ -1391,40 +1373,6 @@ impl<'a> Supervisor<'a> {
         Ok(())
     }
 
-    /// Splits the straggler with the largest remaining tail and runs the
-    /// tail speculatively on the idle capacity.
-    fn steal_tail(&mut self) {
-        let Some((unit_id, mid)) = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| !f.stolen)
-            .filter_map(|(&id, f)| {
-                let spec = f.state.spec;
-                // Split at the reported progress frontier (conservative:
-                // runs the straggler already started stay on it).
-                let mid = (spec.start + f.progress).max(spec.start + 1);
-                let remaining = spec.end.saturating_sub(mid);
-                (remaining >= self.config.min_steal_runs).then_some((id, mid, remaining))
-            })
-            .max_by_key(|&(id, _, remaining)| (remaining, std::cmp::Reverse(id)))
-            .map(|(id, mid, _)| (id, mid))
-        else {
-            return;
-        };
-        let flight = self.in_flight.get_mut(&unit_id).expect("picked from map");
-        let Some((_, tail)) = flight.state.spec.split_at(mid) else {
-            return;
-        };
-        flight.stolen = true;
-        let worker = flight.worker;
-        self.report.steals += 1;
-        if self.config.verbose {
-            eprintln!("fabric: stealing tail {tail} from worker {worker} (unit {unit_id})");
-        }
-        self.emit(FabricEvent::TailStolen { unit: tail, worker });
-        self.pending.push(UnitState::new(tail, Instant::now()));
-    }
-
     /// The scheduler loop: dispatch, supervise, reclaim, until no work
     /// remains.
     fn schedule(&mut self) -> Result<(), FabricError> {
@@ -1482,18 +1430,6 @@ impl<'a> Supervisor<'a> {
                         pending: self.pending.len() + self.in_flight.len(),
                     });
                 }
-            }
-            // Opportunistic stealing: idle capacity + nothing pending.
-            if self.config.steal
-                && !self.report.cancelled
-                && !self.disk_paused
-                && self.pending.is_empty()
-                && self
-                    .slots
-                    .iter()
-                    .any(|s| s.alive && s.ready && s.busy.is_none())
-            {
-                self.steal_tail();
             }
             match self.events.recv_timeout(tick) {
                 Ok((slot, Ok(msg))) => self.on_message(slot, msg)?,
@@ -1605,11 +1541,8 @@ impl<'a> Supervisor<'a> {
                     });
                 }
             }
-            ToSupervisor::Heartbeat { unit_id, done } => {
-                if let Some(flight) = self.in_flight.get_mut(&unit_id) {
-                    flight.progress = flight.progress.max(done);
-                }
-            }
+            // Liveness only: `last_seen` was refreshed above.
+            ToSupervisor::Heartbeat { .. } => {}
             ToSupervisor::Done {
                 unit_id,
                 row,
@@ -1781,7 +1714,6 @@ mod tests {
         let c = FabricConfig::default();
         assert!(c.workers >= 1);
         assert!(c.max_attempts >= 1);
-        assert!(c.steal);
         assert!(c.disk_watermark_mb.is_none(), "governor off by default");
         assert!(c.breaker_trip >= 1);
         assert!(
@@ -1900,6 +1832,31 @@ mod tests {
         assert_eq!(sup.recover_unit(&class_range), Some(unit));
         assert!(sup.pending.is_empty());
         assert_eq!(sup.report.units_recovered, 1);
+    }
+
+    /// A unit lost with its worker goes out before every planned unit once
+    /// its backoff is over, instead of waiting behind them all.
+    #[test]
+    fn an_eligible_retry_dispatches_before_planned_units() {
+        let exp = Experiments::default();
+        let config = FabricConfig::default();
+        let dir = std::env::temp_dir().join("mbu-next-pending-test");
+        let mut sup = Supervisor::new(&exp, &config, &dir, false, SweepOptions::default());
+        let unit = |start, end| UnitSpec {
+            component: HwComponent::DTlb,
+            workload: Workload::Sha,
+            faults: 1,
+            start,
+            end,
+        };
+        sup.pending
+            .push(UnitState::new(unit(0, 10), Instant::now()));
+        let mut retried = UnitState::new(unit(10, 20), Instant::now());
+        retried.attempts = 1;
+        sup.pending.push(retried);
+        assert_eq!(sup.next_pending().map(|u| u.spec), Some(unit(10, 20)));
+        assert_eq!(sup.next_pending().map(|u| u.spec), Some(unit(0, 10)));
+        assert!(sup.next_pending().is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the distributed-sweep merge: whatever a fleet of
 //! unreliable workers leaves in the shard stores — permuted rows,
-//! duplicated retries, steal-split overlaps, stale fingerprints — the
+//! duplicated retries, re-split overlaps, stale fingerprints — the
 //! merge is idempotent, order-independent, and never invents or alters
 //! coverage. A deterministic engine means any exact cover of `0..runs`
 //! must splice to the same campaign result, bit for bit.
@@ -175,10 +175,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Merging any permutation of any exact cover — with retries
-    /// (duplicate rows) and steal splits (a row plus its two halves)
+    /// (duplicate rows) and a unit also run split in two (a row plus its
+    /// two halves, as a resumed sweep with another worker count can leave)
     /// layered on top — produces the same complete campaign as the
-    /// whole-range single row, and merging the merge's input again
-    /// changes nothing.
+    /// whole-range single row, and merging the merge's input again changes
+    /// nothing.
     #[test]
     fn merge_is_order_independent_and_idempotent(
         runs in 4usize..48,
@@ -192,7 +193,8 @@ proptest! {
         let mut rows = cover(&e, &cuts);
         // A retry re-executed one unit verbatim.
         rows.push(rows[dup.index(rows.len())].clone());
-        // A steal split one unit: its full row *and* both halves exist.
+        // One unit was also run split in two: its full row *and* both
+        // halves exist.
         let victim = rows[split.index(rows.len())].unit;
         if victim.len() >= 2 {
             let mid = victim.start + victim.len() / 2;
@@ -404,48 +406,5 @@ proptest! {
             prop_assert_eq!(store.to_csv(), reference.to_csv());
             prop_assert_eq!(report, reference_report);
         }
-    }
-
-    /// Work-stealing on class ranges: any sequence of `split_at` steals
-    /// leaves a set of units that is pairwise disjoint and still covers
-    /// every live class exactly once — no class is lost or simulated
-    /// under two owners' names, so the merge's exact-adjacency splicing
-    /// always finds a perfect cover.
-    #[test]
-    fn class_range_split_at_partitions_are_disjoint_and_total(
-        classes in 1usize..500,
-        steals in proptest::collection::vec(any::<prop::sample::Index>(), 1..10),
-    ) {
-        let (component, workload, faults) = key();
-        let root = UnitSpec { component, workload, faults, start: 0, end: classes };
-        // Degenerate split points are refused outright.
-        prop_assert!(root.split_at(root.start).is_none());
-        prop_assert!(root.split_at(root.end).is_none());
-        let mut units = vec![root];
-        for steal in &steals {
-            let i = steal.index(units.len());
-            let u = units[i];
-            if u.len() < 2 {
-                continue;
-            }
-            let mid = u.start + 1 + steal.index(u.len() - 1);
-            let (head, tail) = u.split_at(mid).expect("interior split point");
-            prop_assert_eq!((head.start, head.end, tail.start, tail.end),
-                            (u.start, mid, mid, u.end));
-            prop_assert!(!head.is_empty() && !tail.is_empty());
-            units[i] = head;
-            units.push(tail);
-        }
-        let mut owners = vec![0u32; classes];
-        for u in &units {
-            prop_assert_eq!(u.campaign_key(), key());
-            for class in u.range() {
-                owners[class] += 1;
-            }
-        }
-        prop_assert!(
-            owners.iter().all(|&n| n == 1),
-            "every class owned exactly once: {owners:?}"
-        );
     }
 }

@@ -84,8 +84,7 @@ fn reconnecting_worker_rejoins_and_replays_persisted_unit() {
     let addr = listener.local_addr().unwrap().to_string();
 
     // A long retry backoff keeps beta's requeued unit parked in `pending`
-    // (not re-dispatched to alpha) while beta restarts and replays it;
-    // stealing stays off so the drained pool can't split the tail first.
+    // (not re-dispatched to alpha) while beta restarts and replays it.
     let sup = std::thread::spawn({
         let shard_dir = shard_dir.clone();
         let out_csv = out_csv.clone();
@@ -94,7 +93,6 @@ fn reconnecting_worker_rejoins_and_replays_persisted_unit() {
             let config = FabricConfig {
                 workers: 2,
                 retry_backoff: Duration::from_secs(10),
-                steal: false,
                 ..FabricConfig::default()
             };
             Supervisor::run(

@@ -111,7 +111,7 @@ fn campaign_with_artifacts_matches_private_golden_run() {
     let campaign = Campaign::new(base);
     let artifacts = campaign.build_artifacts().unwrap();
     let private = campaign.try_run().unwrap();
-    let shared = campaign.try_run_with_artifacts(Some(&artifacts)).unwrap();
+    let shared = campaign.try_run_range(0..8, &artifacts).unwrap();
     assert_eq!(
         private, shared,
         "artifact-fed campaign must be bit-identical"
@@ -129,14 +129,14 @@ fn mismatched_artifacts_are_rejected() {
     let other =
         Campaign::new(CampaignConfig::new(Workload::Qsort, HwComponent::RegFile, 1).runs(4));
     assert!(matches!(
-        other.try_run_with_artifacts(Some(&artifacts)),
+        other.try_run_range(0..4, &artifacts),
         Err(CampaignError::ArtifactMismatch { .. })
     ));
 
     // Missing store: the campaign wants snapshots, the artifacts have none.
     let snapping = Campaign::new(base.clone().use_snapshots(true));
     assert!(matches!(
-        snapping.try_run_with_artifacts(Some(&artifacts)),
+        snapping.try_run_range(0..4, &artifacts),
         Err(CampaignError::ArtifactMismatch { .. })
     ));
 
@@ -154,7 +154,7 @@ fn mismatched_artifacts_are_rejected() {
             }),
     );
     assert!(matches!(
-        respecced.try_run_with_artifacts(Some(&snap_artifacts)),
+        respecced.try_run_range(0..4, &snap_artifacts),
         Err(CampaignError::ArtifactMismatch { .. })
     ));
 
@@ -162,7 +162,7 @@ fn mismatched_artifacts_are_rejected() {
     let mut recored = base;
     recored.core = CoreConfig::in_order_a9();
     assert!(matches!(
-        Campaign::new(recored).try_run_with_artifacts(Some(&artifacts)),
+        Campaign::new(recored).try_run_range(0..4, &artifacts),
         Err(CampaignError::ArtifactMismatch { .. })
     ));
 }

@@ -11,16 +11,24 @@
 //!    limit of `4 × T` (paper §III.C);
 //! 3. outcomes are classified and aggregated into [`ClassCounts`].
 //!
-//! Runs are distributed over worker threads; results are deterministic for
-//! a given seed regardless of thread count, because each run's RNG is
+//! Every run classifies against one [`GoldenArtifacts`]: the golden output
+//! and counters, plus the snapshot store when snapshots are on.
+//! [`Campaign::try_run`] builds them itself, the self-contained reference;
+//! a sweep builds them once per workload and runs each campaign, or each
+//! work unit's run range, with [`Campaign::try_run_range`].
+//!
+//! Runs are distributed over worker threads by one injection executor,
+//! which the exhaustive engine ([`crate::exhaustive`]) drives with class
+//! representatives instead of seed-drawn faults. Results are deterministic
+//! for a given seed regardless of thread count, because each run's RNG is
 //! seeded from `(campaign seed, run index)`.
 //!
 //! # Resilience
 //!
-//! Long sweeps must survive individual bad runs, so the engine isolates
+//! Long sweeps must survive individual bad runs, so the executor isolates
 //! every injection run:
 //!
-//! * **Panic isolation** — each run executes under
+//! * **Panic isolation** — each run, run hook included, executes under
 //!   [`std::panic::catch_unwind`]. A panic inside the simulator is exactly
 //!   what a hardware assert models (an internal invariant broken by the
 //!   injected corruption), so a panicking run classifies as
@@ -31,7 +39,8 @@
 //!   [`CampaignConfig::run_wall_budget`] away, which the simulator checks
 //!   on entry to every run segment and every 1,024 cycles; a run the
 //!   deadline stops classifies as [`FaultEffect::Timeout`] and is logged
-//!   as an anomaly.
+//!   as an anomaly. Class simulations run without one, so an exact AVF
+//!   never depends on host speed.
 //! * **Typed errors** — configuration problems and failed golden runs are
 //!   reported as [`CampaignError`] through [`Campaign::try_new`] /
 //!   [`Campaign::try_run`]; the panicking [`Campaign::new`] / \
@@ -44,7 +53,6 @@ use crate::stats;
 use crate::tech::component_bits;
 use mbu_ace::LivenessOracle;
 use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
-use mbu_isa::Program;
 use mbu_snap::{GoldenArtifacts, SnapshotSpec, SnapshotStats, SnapshotStore};
 use mbu_sram::{BitCoord, Geometry, Restorable};
 use mbu_workloads::Workload;
@@ -76,8 +84,9 @@ impl fmt::Display for InjectionTarget {
 }
 
 /// A per-run hook: an arbitrary (possibly stateful) closure invoked with
-/// the run index at the start of each injection run, inside the isolation
-/// boundary. Cloning shares the underlying closure.
+/// the run index (a class simulation's position) at the start of each
+/// injection run, inside the isolation boundary. Cloning shares the
+/// underlying closure.
 #[derive(Clone)]
 pub struct RunHook(pub Arc<dyn Fn(usize) + Send + Sync>);
 
@@ -205,9 +214,10 @@ pub struct CampaignConfig {
     /// Recording parameters (interval, memory cap) for the snapshot store;
     /// only consulted when [`CampaignConfig::use_snapshots`] is set.
     pub snapshot_spec: SnapshotSpec,
-    /// Test-only fault hook, invoked with the run index at the start of each
-    /// injection run *inside* the isolation boundary. Lets tests provoke
-    /// panics and stalls in an otherwise healthy engine.
+    /// Test-only fault hook, invoked with the run index (a class
+    /// simulation's position) at the start of each injection run *inside*
+    /// the isolation boundary. Lets tests provoke panics and stalls in an
+    /// otherwise healthy engine.
     #[doc(hidden)]
     pub run_hook: Option<RunHook>,
 }
@@ -396,8 +406,7 @@ impl fmt::Display for AnomalyKind {
 /// Run outcomes are deterministic per run index ([`derive_run_seed`]), so a
 /// campaign's class counts are the sum of the counts of any disjoint
 /// run-range cover — the shard planner exploits this to split campaigns
-/// across worker processes, and the supervisor to split straggler tails for
-/// work stealing. A full campaign is the unit `[0, runs)`.
+/// across worker processes. A full campaign is the unit `[0, runs)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UnitSpec {
     /// Target component.
@@ -442,20 +451,6 @@ impl UnitSpec {
     /// The run-range as a `Range`.
     pub fn range(&self) -> std::ops::Range<usize> {
         self.start..self.end
-    }
-
-    /// Splits the unit at run index `mid` (absolute, not relative) into
-    /// `[start, mid)` and `[mid, end)`. Returns `None` unless `mid` falls
-    /// strictly inside the range (both halves must be non-empty).
-    pub fn split_at(&self, mid: usize) -> Option<(UnitSpec, UnitSpec)> {
-        if mid <= self.start || mid >= self.end {
-            return None;
-        }
-        let mut head = *self;
-        let mut tail = *self;
-        head.end = mid;
-        tail.start = mid;
-        Some((head, tail))
     }
 }
 
@@ -547,14 +542,6 @@ impl AnomalyLog {
     /// Whether the campaign was anomaly-free.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    fn merge(&mut self, other: AnomalyLog) {
-        self.entries.extend(other.entries);
-    }
-
-    fn sort(&mut self) {
-        self.entries.sort_by_key(|a| a.run_index);
     }
 }
 
@@ -683,6 +670,27 @@ struct RunExtras {
     deadline_stopped: bool,
 }
 
+/// Where one injection flips bits: `coords` of the target array, at cycle
+/// `inject_at`. A sampled run draws its site from the run seed; an
+/// equivalence class injects one member of its bit's cycle span.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultSite {
+    /// The cycle the flips are applied at.
+    pub(crate) inject_at: u64,
+    /// The flipped bits.
+    pub(crate) coords: Vec<BitCoord>,
+}
+
+/// How one isolated injection run ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Injection {
+    /// Classified outcome.
+    pub(crate) effect: FaultEffect,
+    /// Cycles the faulty run took.
+    pub(crate) cycles: u64,
+    extras: RunExtras,
+}
+
 /// A runnable campaign.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -735,116 +743,59 @@ impl Campaign {
         &self.config
     }
 
-    /// Executes the golden run, reporting a non-clean exit as
-    /// [`CampaignError::GoldenRunFailed`].
-    fn golden(&self, program: &Program) -> Result<(Vec<u8>, u32, u64, u64), CampaignError> {
-        let r = Simulator::new(self.config.core, program).run(u64::MAX / 8);
-        match r.end {
-            RunEnd::Exited { code } => Ok((r.output, code, r.cycles, r.instructions)),
-            end => Err(CampaignError::GoldenRunFailed {
-                workload: self.config.workload,
-                end,
-            }),
-        }
-    }
-
-    /// Executes one injection run. Returns the run record plus the
-    /// fast-path flags (oracle skip / snapshot restore / early mask).
-    ///
-    /// The oracle check is sound because a skipped run would have been
-    /// cycle-identical to the golden run (see [`LivenessOracle`]): its
-    /// detail record — `Masked`, `cycles == fault_free_cycles` — is exactly
-    /// what full simulation would have produced. The reconvergence early
-    /// exit is sound for the same reason, established *after* the fault
-    /// instead of before it: once every reachable bit matches the golden
-    /// checkpoint, determinism makes the rest of the run identical to the
-    /// golden run, so it is `Masked` with exactly `fault_free_cycles`.
-    #[allow(clippy::too_many_arguments)]
-    fn one_run(
+    /// The injection cycle and fault mask of sampled run `run_index`, drawn
+    /// from the run's own seed in that order. A pure function of the index:
+    /// a run sees the same fault under any thread schedule, with the oracle
+    /// and the snapshot store on or off, and when a resumed sweep re-runs
+    /// it.
+    fn draw(
         &self,
-        program: &Program,
         run_index: usize,
         fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
         geometry: Geometry,
-        oracle: Option<&LivenessOracle>,
-        snapshots: Option<&SnapshotStore>,
-        deadline: Option<Instant>,
-    ) -> (RunDetail, RunExtras) {
+    ) -> (u64, FaultMask) {
         let cfg = &self.config;
-        if let Some(hook) = &cfg.run_hook {
-            (hook.0)(run_index);
-        }
-        // Independent per-run RNG: deterministic under any thread schedule.
-        // The draw order (injection cycle, then mask) must not depend on the
-        // oracle or the snapshot store, so skipped, fast-forwarded and
-        // fully-simulated runs all see identical faults.
-        let run_seed = derive_run_seed(cfg.seed, run_index);
-        let mut gen = MaskGenerator::seeded(run_seed, cfg.cluster);
+        let mut gen = MaskGenerator::seeded(derive_run_seed(cfg.seed, run_index), cfg.cluster);
         let inject_at = gen.injection_cycle(fault_free_cycles);
-        let mask = gen.generate(geometry, cfg.faults);
-        if let Some(o) = oracle {
-            if o.provably_masked(&mask.coords, inject_at) {
-                let detail = RunDetail {
-                    index: run_index,
-                    inject_cycle: inject_at,
-                    mask,
-                    effect: FaultEffect::Masked,
-                    cycles: fault_free_cycles,
-                };
-                let extras = RunExtras {
-                    oracle_skip: true,
-                    ..RunExtras::default()
-                };
-                return (detail, extras);
-            }
-        }
-        let (effect, cycles, extras) = self.run_injection(
-            program,
-            &mask.coords,
-            inject_at,
-            fault_free_cycles,
-            golden_output,
-            golden_code,
-            snapshots,
-            deadline,
-        );
-        let detail = RunDetail {
-            index: run_index,
-            inject_cycle: inject_at,
-            mask,
-            effect,
-            cycles,
-        };
-        (detail, extras)
+        (inject_at, gen.generate(geometry, cfg.faults))
     }
 
-    /// Simulates exactly one injection: flip `coords` at `inject_at` under
-    /// the configured target, classify against the golden reference. The
-    /// deterministic tail of [`Campaign::one_run`], and — via
-    /// [`Campaign::probe_injection`] — the primitive the exhaustive
-    /// (per-equivalence-class) engine drives with chosen fault sites
-    /// instead of seed-drawn ones.
-    #[allow(clippy::too_many_arguments)]
+    /// Classifies one fault site against the golden reference in
+    /// `artifacts`: flips its bits at its cycle under the configured target
+    /// and runs to exit, crash, assert, the timeout limit or `deadline`.
+    ///
+    /// Two fast paths return `Masked` with exactly the golden cycle count,
+    /// which is what full simulation produces: such a run is cycle-identical
+    /// to the golden run. The oracle proves that before the fault (every
+    /// flipped bit is dead at the injection cycle, see [`LivenessOracle`]);
+    /// a reconvergence check proves it after the fault (every reachable bit
+    /// matches a golden checkpoint, and determinism makes the rest of the
+    /// run golden).
     fn run_injection(
         &self,
-        program: &Program,
-        coords: &[BitCoord],
-        inject_at: u64,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
-        snapshots: Option<&SnapshotStore>,
+        artifacts: &GoldenArtifacts,
+        site: &FaultSite,
+        oracle: Option<&LivenessOracle>,
         deadline: Option<Instant>,
-    ) -> (FaultEffect, u64, RunExtras) {
+    ) -> Injection {
         let cfg = &self.config;
+        let fault_free_cycles = artifacts.cycles();
+        let masked = |extras| Injection {
+            effect: FaultEffect::Masked,
+            cycles: fault_free_cycles,
+            extras,
+        };
         let mut extras = RunExtras::default();
-        let mut sim = Simulator::new(cfg.core, program);
+        if oracle.is_some_and(|o| o.provably_masked(&site.coords, site.inject_at)) {
+            extras.oracle_skip = true;
+            return masked(extras);
+        }
+        let snapshots = artifacts.snapshot_store().filter(|_| cfg.use_snapshots);
+        let mut sim = Simulator::new(cfg.core, artifacts.program());
         if let Some(store) = snapshots {
             // Fast-forward: skip the fault-free prefix by restoring the
             // nearest golden checkpoint at or before the injection cycle.
-            sim.restore(store.nearest_at_or_before(inject_at));
+            sim.restore(store.nearest_at_or_before(site.inject_at));
             extras.snapshot_restore = true;
         }
         if let Some(deadline) = deadline {
@@ -853,10 +804,10 @@ impl Campaign {
         let limit = fault_free_cycles * cfg.timeout_factor;
         // The injection point precedes the fault-free end, so the run cannot
         // have finished yet.
-        if sim.run_until_cycle(inject_at).is_none() {
+        if sim.run_until_cycle(site.inject_at).is_none() {
             match cfg.target {
-                InjectionTarget::DataArray => sim.inject_flips(cfg.component, coords),
-                InjectionTarget::TagArray => sim.inject_tag_flips(cfg.component, coords),
+                InjectionTarget::DataArray => sim.inject_flips(cfg.component, &site.coords),
+                InjectionTarget::TagArray => sim.inject_tag_flips(cfg.component, &site.coords),
             }
         }
         let end = match snapshots {
@@ -865,7 +816,7 @@ impl Campaign {
                 let (end, early) = run_with_reconvergence(&mut sim, store, limit);
                 if early {
                     extras.snapshot_early_masked = true;
-                    return (FaultEffect::Masked, fault_free_cycles, extras);
+                    return masked(extras);
                 }
                 end
             }
@@ -877,224 +828,95 @@ impl Campaign {
             cycles: sim.cycle(),
             instructions: sim.instructions(),
         };
-        let effect = classify(&result, golden_output, golden_code);
-        (effect, result.cycles, extras)
-    }
-
-    /// [`Campaign::run_injection`] inside the isolation boundary, for
-    /// callers that choose the fault site deterministically (the exhaustive
-    /// engine): panics inside the simulated run classify as
-    /// [`FaultEffect::Assert`] with zero cycles, mirroring the sampled
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_injection(
-        &self,
-        program: &Program,
-        coords: &[BitCoord],
-        inject_at: u64,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
-        snapshots: Option<&SnapshotStore>,
-    ) -> (FaultEffect, u64) {
-        install_quiet_panic_hook();
-        let outcome = IN_ISOLATED_RUN.with(|flag| {
-            flag.set(true);
-            let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_injection(
-                    program,
-                    coords,
-                    inject_at,
-                    fault_free_cycles,
-                    golden_output,
-                    golden_code,
-                    snapshots,
-                    None,
-                )
-            }));
-            flag.set(false);
-            r
-        });
-        match outcome {
-            Ok((effect, cycles, _)) => (effect, cycles),
-            Err(_) => (FaultEffect::Assert, 0),
+        Injection {
+            effect: classify(&result, artifacts.output(), artifacts.exit_code()),
+            cycles: result.cycles,
+            extras,
         }
     }
 
-    /// Executes one injection run inside the isolation boundary: panics are
-    /// captured (and classified as [`FaultEffect::Assert`]), deadline stops
-    /// are logged.
+    /// The injection executor behind every campaign kind: sampled run
+    /// ranges here, class ranges and stratified batches in
+    /// [`crate::exhaustive`]. The configured worker threads take the
+    /// entries of `positions` from one atomic queue. Each runs inside the
+    /// isolation boundary: the run hook fires with the position, `site`
+    /// maps it to a fault site, and [`Campaign::run_injection`] classifies
+    /// the site against `artifacts`, consulting `oracle` first. A run
+    /// starts with a deadline `budget` away (`None`: no deadline).
     ///
-    /// `catch_unwind` unwind-safety audit: the closure captures `&self`
-    /// (immutable configuration), `&Program` (immutable), the golden
-    /// reference slices (immutable) and the deadline (a copy). All
-    /// mutable state — simulator, mask generator — lives *inside* the
-    /// closure and is dropped on unwind, so nothing observable can be left
-    /// half-updated; the `AssertUnwindSafe` is sound.
-    #[allow(clippy::too_many_arguments)]
-    fn one_run_isolated(
+    /// Returns one outcome per position, in `positions` order: the
+    /// injection, or the payload of the panic the boundary caught (callers
+    /// classify it `Assert`). Every run is deterministic per position, so
+    /// the outcomes do not depend on the thread count.
+    ///
+    /// `catch_unwind` unwind-safety audit: the boundary captures `&self`
+    /// (immutable configuration), the artifacts, the oracle and the site
+    /// mapping (immutable, shared) and the deadline (a copy). All mutable
+    /// state — the simulator — lives inside the boundary and is dropped on
+    /// unwind, so nothing observable can be left half-updated; the
+    /// `AssertUnwindSafe` is sound.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::WorkerPanicked`] when a worker thread panics
+    /// outside the boundary (an engine bug).
+    pub(crate) fn simulate(
         &self,
-        program: &Program,
-        run_index: usize,
-        fault_free_cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
-        geometry: Geometry,
+        artifacts: &GoldenArtifacts,
+        positions: &[usize],
         oracle: Option<&LivenessOracle>,
-        snapshots: Option<&SnapshotStore>,
-        deadline: Option<Instant>,
-    ) -> (RunDetail, RunExtras, Option<Anomaly>) {
+        budget: Option<Duration>,
+        site: impl Fn(usize) -> FaultSite + Sync,
+    ) -> Result<Vec<Result<Injection, String>>, CampaignError> {
+        if positions.is_empty() {
+            return Ok(Vec::new());
+        }
         install_quiet_panic_hook();
-        let outcome = IN_ISOLATED_RUN.with(|flag| {
-            flag.set(true);
-            let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.one_run(
-                    program,
-                    run_index,
-                    fault_free_cycles,
-                    golden_output,
-                    golden_code,
-                    geometry,
-                    oracle,
-                    snapshots,
-                    deadline,
-                )
-            }));
-            flag.set(false);
-            r
-        });
-        match outcome {
-            Ok((detail, extras)) => {
-                let anomaly = if extras.deadline_stopped {
-                    Some(Anomaly {
-                        run_index,
-                        run_seed: derive_run_seed(self.config.seed, run_index),
-                        kind: AnomalyKind::WallClock,
-                        message: format!(
-                            "stopped after exceeding the {:?} wall-clock budget",
-                            self.config.run_wall_budget.unwrap_or_default()
-                        ),
-                    })
-                } else {
-                    None
-                };
-                (detail, extras, anomaly)
-            }
-            Err(payload) => {
-                // A panic is the software image of a hardware assert: an
-                // internal invariant tripped by the injected corruption.
-                let detail = RunDetail {
-                    index: run_index,
-                    inject_cycle: 0,
-                    mask: FaultMask {
-                        coords: Vec::new(),
-                        origin: BitCoord::new(0, 0),
-                        cluster: self.config.cluster,
-                    },
-                    effect: FaultEffect::Assert,
-                    cycles: 0,
-                };
-                let anomaly = Anomaly {
-                    run_index,
-                    run_seed: derive_run_seed(self.config.seed, run_index),
-                    kind: AnomalyKind::Panic,
-                    message: payload_message(payload.as_ref()),
-                };
-                (detail, RunExtras::default(), Some(anomaly))
-            }
+        let isolated = |position: usize| {
+            // Armed before the hook fires, so a stalled hook counts against
+            // the run's budget. A budget too large for `Instant` sets no
+            // deadline.
+            let deadline = budget.and_then(|b| Instant::now().checked_add(b));
+            IN_ISOLATED_RUN.with(|flag| {
+                flag.set(true);
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(hook) = &self.config.run_hook {
+                        (hook.0)(position);
+                    }
+                    self.run_injection(artifacts, &site(position), oracle, deadline)
+                }));
+                flag.set(false);
+                outcome.map_err(|payload| payload_message(payload.as_ref()))
+            })
+        };
+        let threads = match self.config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         }
-    }
-
-    /// Executes the injection runs `[start, end)` in parallel (work-stealing
-    /// over an atomic index; deterministic for a given seed regardless of
-    /// thread count), merging into the caller's accumulators.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &self,
-        program: &Program,
-        range: std::ops::Range<usize>,
-        cycles: u64,
-        golden_output: &[u8],
-        golden_code: u32,
-        geometry: Geometry,
-        oracle: Option<&LivenessOracle>,
-        snapshots: Option<&SnapshotStore>,
-        counts: &mut ClassCounts,
-        details: &mut Vec<RunDetail>,
-        anomalies: &mut AnomalyLog,
-        oracle_skips: &mut u64,
-        snap_restores: &mut u64,
-        snap_early_masked: &mut u64,
-    ) -> Result<(), CampaignError> {
-        let cfg = &self.config;
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        }
-        .min(range.len())
-        .max(1);
-        let next = AtomicUsize::new(range.start);
+        .min(positions.len());
+        let next = AtomicUsize::new(0);
+        let mut outcomes = Vec::with_capacity(positions.len());
         let mut worker_panicked = false;
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let range = &range;
-                handles.push(scope.spawn(move || {
-                    let mut local = ClassCounts::new();
-                    let mut local_details = Vec::new();
-                    let mut local_anomalies = AnomalyLog::new();
-                    let mut local_extras = (0u64, 0u64, 0u64);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= range.end {
-                            break;
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&position) = positions.get(k) else {
+                                return local;
+                            };
+                            local.push((k, isolated(position)));
                         }
-                        // A budget too large for `Instant` sets no deadline.
-                        let deadline = cfg
-                            .run_wall_budget
-                            .and_then(|b| Instant::now().checked_add(b));
-                        let (detail, extras, anomaly) = self.one_run_isolated(
-                            program,
-                            i,
-                            cycles,
-                            golden_output,
-                            golden_code,
-                            geometry,
-                            oracle,
-                            snapshots,
-                            deadline,
-                        );
-                        local.record(detail.effect);
-                        local_extras.0 += u64::from(extras.oracle_skip);
-                        local_extras.1 += u64::from(extras.snapshot_restore);
-                        local_extras.2 += u64::from(extras.snapshot_early_masked);
-                        if let Some(a) = anomaly {
-                            local_anomalies.record(a);
-                        }
-                        if cfg.collect_details {
-                            local_details.push(detail);
-                        }
-                    }
-                    (local, local_details, local_anomalies, local_extras)
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok((local, local_details, local_anomalies, local_extras)) => {
-                        counts.merge(&local);
-                        details.extend(local_details);
-                        anomalies.merge(local_anomalies);
-                        *oracle_skips += local_extras.0;
-                        *snap_restores += local_extras.1;
-                        *snap_early_masked += local_extras.2;
-                    }
-                    // A panic *outside* the per-run isolation boundary is an
-                    // engine bug; salvage the other workers' results and
-                    // report it as a typed error below.
+                    })
+                })
+                .collect();
+            for worker in workers {
+                match worker.join() {
+                    Ok(local) => outcomes.extend(local),
+                    // A panic *outside* the isolation boundary is an engine
+                    // bug; it is reported as a typed error below.
                     Err(_) => worker_panicked = true,
                 }
             }
@@ -1102,38 +924,31 @@ impl Campaign {
         if worker_panicked {
             return Err(CampaignError::WorkerPanicked);
         }
-        Ok(())
-    }
-
-    /// The achieved error margin of `counts` over the component's fault
-    /// population, with the measured AVF (clamped to `[0.01, 0.99]`) as the
-    /// probability estimate.
-    fn achieved_margin(
-        &self,
-        counts: &ClassCounts,
-        fault_free_cycles: u64,
-        z: f64,
-    ) -> Result<f64, CampaignError> {
-        campaign_margin(self.config.component, counts, fault_free_cycles, z)
+        outcomes.sort_unstable_by_key(|&(k, _)| k);
+        Ok(outcomes.into_iter().map(|(_, outcome)| outcome).collect())
     }
 
     /// Runs the whole campaign (parallel, deterministic), reporting failures
-    /// as [`CampaignError`] instead of panicking.
+    /// as [`CampaignError`] instead of panicking: builds the golden
+    /// artifacts ([`Campaign::build_artifacts`]), then runs `0..runs`
+    /// against them ([`Campaign::try_run_range`]). This is the
+    /// self-contained reference the differential suites compare the sweep
+    /// paths against.
     ///
     /// With [`CampaignConfig::adaptive`] set, runs execute in batches and
     /// the campaign stops as soon as the achieved margin (measured AVF as
     /// `p`) meets the target — see [`AdaptiveSpec`].
     pub fn try_run(&self) -> Result<CampaignResult, CampaignError> {
-        self.try_run_with_artifacts(None)
+        self.try_run_range(0..self.config.runs, &self.build_artifacts()?)
     }
 
-    /// Builds the golden artifacts this campaign would otherwise compute
-    /// inside [`Campaign::try_run`]: the fault-free output/counters and —
-    /// when [`CampaignConfig::use_snapshots`] is set — a recorded
+    /// Builds the golden artifacts every run of this campaign classifies
+    /// against: the fault-free output/counters and — when
+    /// [`CampaignConfig::use_snapshots`] is set — a recorded
     /// [`SnapshotStore`] under [`CampaignConfig::snapshot_spec`].
     ///
     /// A sweep builds these once per `(core, workload)` pair and passes the
-    /// same value to [`Campaign::try_run_with_artifacts`] for every campaign
+    /// same value to [`Campaign::try_run_range`] for every campaign
     /// targeting that workload, eliminating the per-campaign golden and
     /// recording runs.
     pub fn build_artifacts(&self) -> Result<GoldenArtifacts, CampaignError> {
@@ -1148,46 +963,37 @@ impl Campaign {
         })
     }
 
-    /// [`Campaign::try_run`] with optional pre-built golden artifacts.
+    /// Runs the run-range `range` of this campaign against pre-built golden
+    /// artifacts; the whole campaign is `0..runs`. This is the entry point
+    /// of every sweep: in process each workload's artifacts are shared by
+    /// all its campaigns, and on the fabric each work unit is a range.
     ///
-    /// With `Some(artifacts)` the golden run (and, with snapshots enabled,
-    /// the recording run) is skipped: the reference output, counters and
-    /// checkpoint store come from the artifacts. The simulator is
-    /// deterministic, so the artifacts are bit-identical to what a private
-    /// golden run would have produced — classifications, anomaly logs and
-    /// details do not depend on which path supplied them. Artifacts built
-    /// for a different core, program or snapshot spec are rejected with
-    /// [`CampaignError::ArtifactMismatch`] rather than silently
-    /// misclassifying every run.
-    pub fn try_run_with_artifacts(
-        &self,
-        artifacts: Option<&GoldenArtifacts>,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.execute(artifacts, None)
-    }
-
-    /// Runs only the run-range `range` of this campaign — the execution
-    /// primitive behind distributed sweep shards.
+    /// The reference output, counters and checkpoint store come from the
+    /// artifacts. The simulator is deterministic, so they are bit-identical
+    /// to what [`Campaign::try_run`] builds privately: classifications,
+    /// anomaly logs and details do not depend on which path supplied them.
     ///
     /// Per-run seeds derive from the campaign seed and the *absolute* run
     /// index alone, so the runs of `range` are classified bit-identically
-    /// to the same indices inside a full [`Campaign::try_run`]; summing the
+    /// to the same indices inside a full campaign; summing the
     /// [`ClassCounts`] of any disjoint cover of `0..runs` reproduces the
-    /// full campaign's counts exactly. The returned result carries only the
-    /// range's counts/details/anomalies (plus the golden counters, which
-    /// are range-independent); its `achieved_margin` is over the partial
-    /// counts and is recomputed from merged counts by the shard merge.
+    /// full campaign's counts exactly. The result carries only the range's
+    /// counts/details/anomalies (plus the golden counters, which are
+    /// range-independent); its `achieved_margin` is over the partial counts
+    /// and is recomputed from merged counts by the shard merge.
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::InvalidRunRange`] for an empty or
-    /// out-of-bounds range, and [`CampaignError::InvalidAdaptiveSpec`] for
-    /// a partial range of an adaptive campaign: early stopping depends on
-    /// the global run order, so adaptive campaigns are never split.
-    pub fn try_run_range_with_artifacts(
+    /// [`CampaignError::InvalidRunRange`] for an empty or out-of-bounds
+    /// range; [`CampaignError::InvalidAdaptiveSpec`] for a partial range of
+    /// an adaptive campaign, because early stopping depends on the global
+    /// run order; [`CampaignError::ArtifactMismatch`] for artifacts built
+    /// for a different core, program or snapshot spec, rather than
+    /// silently misclassifying every run.
+    pub fn try_run_range(
         &self,
         range: std::ops::Range<usize>,
-        artifacts: Option<&GoldenArtifacts>,
+        artifacts: &GoldenArtifacts,
     ) -> Result<CampaignResult, CampaignError> {
         let cfg = &self.config;
         if range.start >= range.end || range.end > cfg.runs {
@@ -1202,70 +1008,12 @@ impl Campaign {
                 reason: "adaptive campaigns cannot be split into partial run-ranges",
             });
         }
-        self.execute(artifacts, Some(range))
-    }
-
-    /// Rejects golden artifacts built for a different campaign (wrong core
-    /// configuration, wrong program, or a missing/mismatched snapshot
-    /// store) — shared by the sampled executor and the exhaustive engine.
-    pub(crate) fn validate_artifacts(
-        &self,
-        program: &Program,
-        artifacts: &GoldenArtifacts,
-    ) -> Result<(), CampaignError> {
-        let cfg = &self.config;
-        if *artifacts.core() != cfg.core {
-            return Err(CampaignError::ArtifactMismatch {
-                reason: "artifacts were built for a different core configuration",
-            });
-        }
-        if artifacts.program() != program {
-            return Err(CampaignError::ArtifactMismatch {
-                reason: "artifacts were built for a different program",
-            });
-        }
-        if cfg.use_snapshots {
-            if artifacts.snapshot_store().is_none() {
-                return Err(CampaignError::ArtifactMismatch {
-                    reason: "campaign uses snapshots but the artifacts carry no store",
-                });
-            }
-            if artifacts.snapshot_spec() != Some(cfg.snapshot_spec) {
-                return Err(CampaignError::ArtifactMismatch {
-                    reason: "artifacts' snapshot store was recorded under a different spec",
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared body of [`Campaign::try_run_with_artifacts`] (`range: None`)
-    /// and [`Campaign::try_run_range_with_artifacts`] (`range: Some`).
-    fn execute(
-        &self,
-        artifacts: Option<&GoldenArtifacts>,
-        range: Option<std::ops::Range<usize>>,
-    ) -> Result<CampaignResult, CampaignError> {
-        let cfg = &self.config;
-        let program = cfg.workload.program();
-        if let Some(a) = artifacts {
-            self.validate_artifacts(&program, a)?;
-        }
-        // Golden reference: from the shared artifacts, or one private run.
-        let owned_golden = match artifacts {
-            Some(_) => None,
-            None => Some(self.golden(&program)?),
-        };
-        let (golden_output, golden_code, cycles, instructions): (&[u8], u32, u64, u64) =
-            match (&owned_golden, artifacts) {
-                (Some((o, c, cy, i)), _) => (o, *c, *cy, *i),
-                (None, Some(a)) => (a.output(), a.exit_code(), a.cycles(), a.instructions()),
-                (None, None) => unreachable!("one golden source always exists"),
-            };
+        self.validate_artifacts(artifacts)?;
+        let cycles = artifacts.cycles();
         // Target geometry is config-determined; compute it once instead of
         // per run so the oracle fast path can skip Simulator construction.
         let geometry = {
-            let sim = Simulator::new(cfg.core, &program);
+            let sim = Simulator::new(cfg.core, artifacts.program());
             match cfg.target {
                 InjectionTarget::DataArray => sim.component_geometry(cfg.component),
                 InjectionTarget::TagArray => sim.tag_geometry(cfg.component),
@@ -1276,32 +1024,11 @@ impl Campaign {
         // that does not exit cleanly) silently disable the fast path: the
         // campaign is then merely slower, never wrong.
         let oracle = if cfg.use_liveness_oracle && cfg.target == InjectionTarget::DataArray {
-            LivenessOracle::build(cfg.core, &program, cfg.component).ok()
+            LivenessOracle::build(cfg.core, artifacts.program(), cfg.component).ok()
         } else {
             None
         };
-        let oracle = oracle.as_ref();
-        // One extra golden (recording) run buys checkpointed fast-forwarding
-        // and reconvergence-based early exit for every injection run — paid
-        // here only when no shared store came with the artifacts.
-        let owned_store = if cfg.use_snapshots && artifacts.is_none() {
-            Some(SnapshotStore::record_golden(
-                cfg.core,
-                &program,
-                cycles,
-                cfg.snapshot_spec,
-            ))
-        } else {
-            None
-        };
-        let snapshots: Option<&SnapshotStore> = if cfg.use_snapshots {
-            match artifacts {
-                Some(a) => a.snapshot_store().map(|s| s.as_ref()),
-                None => owned_store.as_ref(),
-            }
-        } else {
-            None
-        };
+        let snapshots = artifacts.snapshot_store().filter(|_| cfg.use_snapshots);
         let mut counts = ClassCounts::new();
         let mut details: Vec<RunDetail> = Vec::new();
         let mut anomalies = AnomalyLog::new();
@@ -1324,60 +1051,104 @@ impl Campaign {
                 });
             }
         }
-        let mut oracle_skips = 0u64;
-        let mut snap_restores = 0u64;
-        let mut snap_early_masked = 0u64;
-        let (range_start, range_end) = match &range {
-            Some(r) => (r.start, r.end),
-            None => (0, cfg.runs),
-        };
-        let mut executed = range_start;
-        while executed < range_end {
+        let (mut oracle_skips, mut snap_restores, mut snap_early_masked) = (0u64, 0u64, 0u64);
+        let mut executed = range.start;
+        while executed < range.end {
             let end = match &cfg.adaptive {
-                None => range_end,
-                Some(a) => (executed + a.batch).min(range_end),
+                None => range.end,
+                Some(a) => (executed + a.batch).min(range.end),
             };
-            self.run_batch(
-                &program,
-                executed..end,
-                cycles,
-                golden_output,
-                golden_code,
-                geometry,
-                oracle,
-                snapshots,
-                &mut counts,
-                &mut details,
-                &mut anomalies,
-                &mut oracle_skips,
-                &mut snap_restores,
-                &mut snap_early_masked,
+            let batch: Vec<usize> = (executed..end).collect();
+            let runs = self.simulate(
+                artifacts,
+                &batch,
+                oracle.as_ref(),
+                cfg.run_wall_budget,
+                |index| {
+                    let (inject_at, mask) = self.draw(index, cycles, geometry);
+                    FaultSite {
+                        inject_at,
+                        coords: mask.coords,
+                    }
+                },
             )?;
+            // Outcomes come back in run order, so the anomaly log and the
+            // fault list are sorted by run index as they grow.
+            for (index, run) in batch.into_iter().zip(runs) {
+                let run_seed = derive_run_seed(cfg.seed, index);
+                let panicked = run.is_err();
+                let (effect, run_cycles) = match run {
+                    Ok(run) => {
+                        oracle_skips += u64::from(run.extras.oracle_skip);
+                        snap_restores += u64::from(run.extras.snapshot_restore);
+                        snap_early_masked += u64::from(run.extras.snapshot_early_masked);
+                        if run.extras.deadline_stopped {
+                            anomalies.record(Anomaly {
+                                run_index: index,
+                                run_seed,
+                                kind: AnomalyKind::WallClock,
+                                message: format!(
+                                    "stopped after exceeding the {:?} wall-clock budget",
+                                    cfg.run_wall_budget.unwrap_or_default()
+                                ),
+                            });
+                        }
+                        (run.effect, run.cycles)
+                    }
+                    // A panic is the software image of a hardware assert: an
+                    // internal invariant tripped by the injected corruption.
+                    Err(message) => {
+                        anomalies.record(Anomaly {
+                            run_index: index,
+                            run_seed,
+                            kind: AnomalyKind::Panic,
+                            message,
+                        });
+                        (FaultEffect::Assert, 0)
+                    }
+                };
+                counts.record(effect);
+                if cfg.collect_details {
+                    // A site is a pure function of its run index, so the
+                    // fault list re-draws it; a panicked run lists none.
+                    let (inject_cycle, mask) = if panicked {
+                        let none = FaultMask {
+                            coords: Vec::new(),
+                            origin: BitCoord::new(0, 0),
+                            cluster: cfg.cluster,
+                        };
+                        (0, none)
+                    } else {
+                        self.draw(index, cycles, geometry)
+                    };
+                    details.push(RunDetail {
+                        index,
+                        inject_cycle,
+                        mask,
+                        effect,
+                        cycles: run_cycles,
+                    });
+                }
+            }
             executed = end;
             if let Some(a) = &cfg.adaptive {
                 if executed >= a.min_runs
-                    && self.achieved_margin(&counts, cycles, a.z)? <= a.target_margin
+                    && campaign_margin(cfg.component, &counts, cycles, a.z)? <= a.target_margin
                 {
                     break;
                 }
             }
         }
-        let z = cfg.adaptive.as_ref().map(|a| a.z).unwrap_or(stats::Z_99);
-        let achieved_margin = Some(self.achieved_margin(&counts, cycles, z)?);
-        details.sort_by_key(|d| d.index);
-        anomalies.sort();
+        let z = cfg.adaptive.as_ref().map_or(stats::Z_99, |a| a.z);
+        let achieved_margin = Some(campaign_margin(cfg.component, &counts, cycles, z)?);
         Ok(CampaignResult {
             workload: cfg.workload,
             component: cfg.component,
             faults: cfg.faults,
             counts,
             fault_free_cycles: cycles,
-            fault_free_instructions: instructions,
-            details: if cfg.collect_details {
-                Some(details)
-            } else {
-                None
-            },
+            fault_free_instructions: artifacts.instructions(),
+            details: cfg.collect_details.then_some(details),
             anomalies,
             oracle_skips,
             achieved_margin,
@@ -1387,6 +1158,39 @@ impl Campaign {
                 ..s.stats()
             }),
         })
+    }
+
+    /// Rejects golden artifacts built for a different campaign (wrong core
+    /// configuration, wrong program, or a missing/mismatched snapshot
+    /// store) — shared by the sampled runs and the exhaustive engine.
+    pub(crate) fn validate_artifacts(
+        &self,
+        artifacts: &GoldenArtifacts,
+    ) -> Result<(), CampaignError> {
+        let cfg = &self.config;
+        if *artifacts.core() != cfg.core {
+            return Err(CampaignError::ArtifactMismatch {
+                reason: "artifacts were built for a different core configuration",
+            });
+        }
+        if *artifacts.program() != cfg.workload.program() {
+            return Err(CampaignError::ArtifactMismatch {
+                reason: "artifacts were built for a different program",
+            });
+        }
+        if cfg.use_snapshots {
+            if artifacts.snapshot_store().is_none() {
+                return Err(CampaignError::ArtifactMismatch {
+                    reason: "campaign uses snapshots but the artifacts carry no store",
+                });
+            }
+            if artifacts.snapshot_spec() != Some(cfg.snapshot_spec) {
+                return Err(CampaignError::ArtifactMismatch {
+                    reason: "artifacts' snapshot store was recorded under a different spec",
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Runs the whole campaign (parallel, deterministic).
@@ -1818,7 +1622,7 @@ mod resilience_tests {
             (0..3)
                 .map(|_| {
                     let t = Instant::now();
-                    campaign.try_run_with_artifacts(Some(&artifacts)).unwrap();
+                    campaign.try_run_range(0..1, &artifacts).unwrap();
                     t.elapsed()
                 })
                 .min()

@@ -27,8 +27,12 @@
 //! snapshot alignment: when a checkpoint cycle falls inside a class's
 //! span, the representative moves onto it and the fast-forward restore
 //! lands exactly on the injection point.
+//!
+//! Class simulations run on the sampled campaign's injection executor
+//! ([`Campaign`]): the same thread pool, panic isolation and golden
+//! reference; only the mapping from a position to a fault site differs.
 
-use crate::campaign::{Campaign, CampaignConfig, CampaignResult, InjectionTarget};
+use crate::campaign::{Campaign, CampaignConfig, CampaignResult, FaultSite, InjectionTarget};
 use crate::classify::{ClassCounts, FaultEffect};
 use crate::error::CampaignError;
 use crate::stats;
@@ -36,11 +40,6 @@ use mbu_ace::LivenessOracle;
 use mbu_equiv::{physical_coord, CoverageReport, FaultClass, LiveIndex, Partition};
 use mbu_snap::GoldenArtifacts;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A simulated class outcome in shard form: `(class_id, (effect, cycles))`.
-type ClassSim = (u64, (FaultEffect, u64));
 
 /// Default cap on live (must-simulate) classes — past this an exhaustive
 /// campaign is refused as intractable ([`CampaignError::ClassCapExceeded`]).
@@ -298,10 +297,9 @@ impl ExhaustivePlan {
         artifacts: Option<&'a GoldenArtifacts>,
         owned: &'a mut Option<GoldenArtifacts>,
     ) -> Result<&'a GoldenArtifacts, CampaignError> {
-        let program = self.campaign.config().workload.program();
         match artifacts {
             Some(a) => {
-                self.campaign.validate_artifacts(&program, a)?;
+                self.campaign.validate_artifacts(a)?;
                 Ok(a)
             }
             None => {
@@ -364,95 +362,55 @@ impl ExhaustivePlan {
         }
         let mut owned = None;
         let artifacts = self.artifacts(artifacts, &mut owned)?;
-        let cfg = self.campaign.config();
-        let program = cfg.workload.program();
-        let snapshots = cfg
-            .use_snapshots
-            .then(|| artifacts.snapshot_store().map(|s| s.as_ref()))
-            .flatten();
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        }
-        .min(range.len())
-        .max(1);
         let order = self.locality_order(&range, artifacts);
-        let hook = cfg.run_hook.as_ref();
-        let next = AtomicUsize::new(0);
-        let mut outcomes: Vec<ClassOutcome> = Vec::with_capacity(range.len());
-        let mut worker_panicked = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let order = &order;
-                let program = &program;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= order.len() {
-                            break;
-                        }
-                        let i = order[k];
-                        if let Some(hook) = hook {
-                            (hook.0)(i);
-                        }
-                        let class = self.live_class(i);
-                        local.push(self.simulate_class(&class, program, artifacts, snapshots));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(local) => outcomes.extend(local),
-                    Err(_) => worker_panicked = true,
-                }
-            }
-        });
-        if worker_panicked {
-            return Err(CampaignError::WorkerPanicked);
-        }
+        let mut outcomes = self.simulate(artifacts, &order, |i| {
+            let class = self.live_class(i);
+            (class, self.member_cycle(&class, artifacts))
+        })?;
         outcomes.sort_by_key(|o| o.class_id);
         Ok(outcomes)
     }
 
-    /// Simulates one class's representative (inside the isolation
-    /// boundary; panics classify as `Assert` like the sampled path).
-    fn simulate_class(
+    /// Simulates the class member `member(p)` — a class and the cycle to
+    /// inject its bit at — for each position `p` of `positions`, on the
+    /// campaign's injection executor; outcomes come back in `positions`
+    /// order. The run hook fires with each position. Class simulations
+    /// run without a wall-clock budget, so an exact AVF never depends on
+    /// host speed; one that panics, hook included, classifies its class
+    /// `Assert` with 0 cycles, like a panicking sampled run.
+    fn simulate(
         &self,
-        class: &FaultClass,
-        program: &mbu_isa::Program,
         artifacts: &GoldenArtifacts,
-        snapshots: Option<&mbu_snap::SnapshotStore>,
-    ) -> ClassOutcome {
-        let inject_cycle = self.member_cycle(class, artifacts);
-        let coords = [physical_coord(class.row, class.col, self.interleave)];
-        let (effect, cycles) = self.campaign.probe_injection(
-            program,
-            &coords,
-            inject_cycle,
-            artifacts.cycles(),
-            artifacts.output(),
-            artifacts.exit_code(),
-            snapshots,
-        );
-        ClassOutcome {
-            class_id: class.id,
-            inject_cycle,
-            weight: class.weight(),
-            effect,
-            cycles,
-        }
+        positions: &[usize],
+        member: impl Fn(usize) -> (FaultClass, u64) + Sync,
+    ) -> Result<Vec<ClassOutcome>, CampaignError> {
+        let runs = self
+            .campaign
+            .simulate(artifacts, positions, None, None, |p| {
+                let (class, inject_at) = member(p);
+                FaultSite {
+                    inject_at,
+                    coords: vec![physical_coord(class.row, class.col, self.interleave)],
+                }
+            })?;
+        let outcomes = positions.iter().zip(runs).map(|(&p, run)| {
+            let (class, inject_cycle) = member(p);
+            let (effect, cycles) = run.map_or((FaultEffect::Assert, 0), |r| (r.effect, r.cycles));
+            ClassOutcome {
+                class_id: class.id,
+                inject_cycle,
+                weight: class.weight(),
+                effect,
+                cycles,
+            }
+        });
+        Ok(outcomes.collect())
     }
 
     /// Simulates one *specific member* of a class — the brute-force
     /// primitive the differential suite uses to enumerate whole classes
-    /// and prove member invariance against the representative pick.
+    /// and prove member invariance against the representative pick. The
+    /// run hook fires with position 0.
     ///
     /// # Errors
     ///
@@ -476,29 +434,8 @@ impl ExhaustivePlan {
         );
         let mut owned = None;
         let artifacts = self.artifacts(artifacts, &mut owned)?;
-        let cfg = self.campaign.config();
-        let program = cfg.workload.program();
-        let snapshots = cfg
-            .use_snapshots
-            .then(|| artifacts.snapshot_store().map(|s| s.as_ref()))
-            .flatten();
-        let coords = [physical_coord(class.row, class.col, self.interleave)];
-        let (effect, cycles) = self.campaign.probe_injection(
-            &program,
-            &coords,
-            inject_cycle,
-            artifacts.cycles(),
-            artifacts.output(),
-            artifacts.exit_code(),
-            snapshots,
-        );
-        Ok(ClassOutcome {
-            class_id: class.id,
-            inject_cycle,
-            weight: class.weight(),
-            effect,
-            cycles,
-        })
+        let outcomes = self.simulate(artifacts, &[0], |_| (*class, inject_cycle))?;
+        Ok(outcomes[0])
     }
 
     /// Folds per-class outcomes (every live class exactly once, in any
@@ -593,15 +530,10 @@ impl ExhaustivePlan {
         let mut owned = None;
         let artifacts = self.artifacts(artifacts, &mut owned)?;
         let cfg = self.campaign.config();
-        let program = cfg.workload.program();
-        let snapshots = cfg
-            .use_snapshots
-            .then(|| artifacts.snapshot_store().map(|s| s.as_ref()))
-            .flatten();
         let population = self.coverage.population;
         let live_weight = self.coverage.live_weight;
         let mut draw_counts = ClassCounts::new();
-        let mut memo: HashMap<u64, (FaultEffect, u64)> = HashMap::new();
+        let mut memo: HashMap<u64, FaultEffect> = HashMap::new();
         let mut draws = 0u64;
         let mut margin = 0.0;
         if live_weight > 0 {
@@ -624,12 +556,16 @@ impl ExhaustivePlan {
                     .collect();
                 fresh.sort_unstable();
                 fresh.dedup();
-                for (id, outcome) in self.simulate_batch(&fresh, &program, artifacts, snapshots)? {
-                    memo.insert(id, outcome);
+                let positions: Vec<usize> = (0..fresh.len()).collect();
+                let outcomes = self.simulate(artifacts, &positions, |k| {
+                    let class = self.partition.class(fresh[k]).expect("live id");
+                    (class, self.member_cycle(&class, artifacts))
+                })?;
+                for o in outcomes {
+                    memo.insert(o.class_id, o.effect);
                 }
                 for id in ids {
-                    let (effect, _) = memo[&id];
-                    draw_counts.record(effect);
+                    draw_counts.record(memo[&id]);
                     draws += 1;
                 }
                 // Measured unmasked fraction of the live stratum, clamped
@@ -666,67 +602,6 @@ impl ExhaustivePlan {
             draws,
             simulated: memo.len() as u64,
         })
-    }
-
-    /// Simulates a sorted, deduplicated batch of class ids in parallel.
-    /// The campaign's per-run hook (when set) fires once per class sim —
-    /// the progress/chaos seam stratified fabric units share with
-    /// [`ExhaustivePlan::run_class_range`].
-    fn simulate_batch(
-        &self,
-        ids: &[u64],
-        program: &mbu_isa::Program,
-        artifacts: &GoldenArtifacts,
-        snapshots: Option<&mbu_snap::SnapshotStore>,
-    ) -> Result<Vec<ClassSim>, CampaignError> {
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let cfg = self.campaign.config();
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        }
-        .min(ids.len())
-        .max(1);
-        let hook = cfg.run_hook.as_ref();
-        let next = AtomicUsize::new(0);
-        let results = Mutex::new(Vec::with_capacity(ids.len()));
-        let mut worker_panicked = false;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let results = &results;
-                handles.push(scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ids.len() {
-                        break;
-                    }
-                    if let Some(hook) = hook {
-                        (hook.0)(i);
-                    }
-                    let class = self.partition.class(ids[i]).expect("live id");
-                    let o = self.simulate_class(&class, program, artifacts, snapshots);
-                    results
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((o.class_id, (o.effect, o.cycles)));
-                }));
-            }
-            for h in handles {
-                if h.join().is_err() {
-                    worker_panicked = true;
-                }
-            }
-        });
-        if worker_panicked {
-            return Err(CampaignError::WorkerPanicked);
-        }
-        Ok(results.into_inner().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -896,6 +771,38 @@ mod tests {
             plan.finalize(&one, artifacts.instructions()),
             Err(CampaignError::IncompleteClassCover { .. })
         ));
+    }
+
+    #[test]
+    fn panicking_hook_classifies_only_its_class_assert() {
+        // The hook fires inside the executor's isolation boundary, so a
+        // panic in it costs its own class, not the whole range.
+        let plain =
+            ExhaustivePlan::try_new(config(HwComponent::DTlb), ExhaustiveSpec::default()).unwrap();
+        assert!(plain.live_classes() >= 8);
+        let artifacts = plain.campaign.build_artifacts().unwrap();
+        let victim = 5;
+        let hooked = ExhaustivePlan::try_new(
+            config(HwComponent::DTlb).with_run_hook(move |i| {
+                if i == victim {
+                    panic!("mock simulator invariant violated at live position {i}");
+                }
+            }),
+            ExhaustiveSpec::default(),
+        )
+        .unwrap();
+        let want = plain.run_class_range(0..8, Some(&artifacts)).unwrap();
+        let got = hooked.run_class_range(0..8, Some(&artifacts)).unwrap();
+        let victim_id = plain.live_class(victim).id;
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            if g.class_id == victim_id {
+                assert_eq!((g.effect, g.cycles), (FaultEffect::Assert, 0));
+                assert_eq!((g.inject_cycle, g.weight), (w.inject_cycle, w.weight));
+            } else {
+                assert_eq!(g, w, "an unhooked class must not change");
+            }
+        }
     }
 
     #[test]
