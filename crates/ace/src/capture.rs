@@ -166,7 +166,7 @@ pub struct OccupancyStats {
 }
 
 /// Chunked occupancy accumulator (bounded memory: one point per
-/// [`OCCUPANCY_CHUNK`] cycles, running sums for the means).
+/// 1,024-cycle chunk, running sums for the means).
 #[derive(Debug, Default)]
 pub struct OccupancyProbe {
     samples: u64,

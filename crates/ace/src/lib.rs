@@ -14,7 +14,7 @@
 //!
 //! Three consumers build on the recorded intervals:
 //!
-//! * **Analytical AVF** ([`capture`] → [`StructureResidency::analytical_avf`])
+//! * **Analytical AVF** ([`capture()`] → [`StructureResidency::analytical_avf`])
 //!   cross-validated against the injection-measured AVF per (component,
 //!   workload);
 //! * **Occupancy observability** ([`OccupancyStats`]) — per-cycle ROB /

@@ -952,11 +952,9 @@ impl Experiments {
                 continue;
             };
             exhaustive_rows += 1;
-            let bits = *geometry.entry(r.component).or_insert_with(|| {
-                Simulator::new(self.core, &r.workload.program())
-                    .component_geometry(r.component)
-                    .total_bits() as u64
-            });
+            let bits = *geometry
+                .entry(r.component)
+                .or_insert_with(|| self.core.component_geometry(r.component).total_bits() as u64);
             let expected = bits.saturating_mul(r.fault_free_cycles);
             if meta.weight == expected {
                 reconciled += 1;
@@ -1546,7 +1544,7 @@ impl Experiments {
     /// Analytical (ACE) vs injected AVF cross-validation over every
     /// configured workload and all six components.
     ///
-    /// One fault-free [`mbu_ace::capture`] per workload yields the
+    /// One fault-free [`mbu_ace::capture()`] per workload yields the
     /// analytical AVF of all six data arrays at once; the injected AVF is
     /// the single-bit campaign (`1 − masked fraction`), reused from
     /// `rstore` when present. Both sides checkpoint incrementally
@@ -2071,9 +2069,7 @@ mod tests {
         // Scaled counts cover the whole population, and that population
         // reconciles with the structure's actual bit × cycle fault space.
         assert_eq!(row.counts.total(), meta.weight);
-        let bits = Simulator::new(e.core, &w.program())
-            .component_geometry(c)
-            .total_bits() as u64;
+        let bits = e.core.component_geometry(c).total_bits() as u64;
         assert_eq!(meta.weight, bits * row.fault_free_cycles);
         assert!(row.achieved_margin.unwrap() > 0.0, "stratified, not proved");
         // The driver's campaign is the sampler's run under the paper's

@@ -6,8 +6,8 @@
 //! runs for sampled campaigns, live classes of the deterministic
 //! [`mbu_gefin::exhaustive::ExhaustivePlan`] for exhaustive ones, and one
 //! whole-campaign unit for the stratified sampler. Per-run seeds derive
-//! from the campaign seed and the absolute run index alone
-//! ([`mbu_gefin::campaign::derive_run_seed`]), and each class is simulated
+//! from the campaign seed and the absolute run index alone (see
+//! [`mbu_gefin::campaign::UnitSpec`]), and each class is simulated
 //! once whichever worker owns it, so the counts of any disjoint cover of
 //! the unit space sum to exactly the single-process campaign's, and the
 //! margin is a pure function of the summed counts. That is the whole

@@ -15,7 +15,12 @@
 //! and counters, plus the snapshot store when snapshots are on.
 //! [`Campaign::try_run`] builds them itself, the self-contained reference;
 //! a sweep builds them once per workload and runs each campaign, or each
-//! work unit's run range, with [`Campaign::try_run_range`].
+//! work unit's run range, with [`Campaign::try_run_range`]. With snapshots
+//! on, a run resumes straight from the golden checkpoint at or before its
+//! injection cycle ([`Simulator::from_snapshot`]): it loads no program and
+//! simulates only from that checkpoint on. With them off, the plain
+//! executor builds the machine from the program and simulates the whole
+//! prefix — the reference the differential suites compare against.
 //!
 //! Runs are distributed over worker threads by one injection executor,
 //! which the exhaustive engine ([`crate::exhaustive`]) drives with class
@@ -54,7 +59,7 @@ use crate::tech::component_bits;
 use mbu_ace::LivenessOracle;
 use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
 use mbu_snap::{GoldenArtifacts, SnapshotSpec, SnapshotStats, SnapshotStore};
-use mbu_sram::{BitCoord, Geometry, Restorable};
+use mbu_sram::{BitCoord, Geometry};
 use mbu_workloads::Workload;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -403,7 +408,8 @@ impl fmt::Display for AnomalyKind {
 /// One distributed-sweep work unit: a contiguous run-range
 /// `[start, end)` of a single (component, workload, cardinality) campaign.
 ///
-/// Run outcomes are deterministic per run index ([`derive_run_seed`]), so a
+/// Run outcomes are deterministic per run index (each run's seed derives
+/// from the campaign seed and the absolute run index alone), so a
 /// campaign's class counts are the sum of the counts of any disjoint
 /// run-range cover — the shard planner exploits this to split campaigns
 /// across worker processes. A full campaign is the unit `[0, runs)`.
@@ -791,13 +797,17 @@ impl Campaign {
             return masked(extras);
         }
         let snapshots = artifacts.snapshot_store().filter(|_| cfg.use_snapshots);
-        let mut sim = Simulator::new(cfg.core, artifacts.program());
-        if let Some(store) = snapshots {
-            // Fast-forward: skip the fault-free prefix by restoring the
+        let mut sim = match snapshots {
+            // Fast-forward: skip the fault-free prefix by resuming from the
             // nearest golden checkpoint at or before the injection cycle.
-            sim.restore(store.nearest_at_or_before(site.inject_at));
-            extras.snapshot_restore = true;
-        }
+            Some(store) => {
+                extras.snapshot_restore = true;
+                Simulator::from_snapshot(cfg.core, store.nearest_at_or_before(site.inject_at))
+            }
+            // The plain executor, kept as the differential reference:
+            // load the program and simulate the prefix.
+            None => Simulator::new(cfg.core, artifacts.program()),
+        };
         if let Some(deadline) = deadline {
             sim.set_deadline(deadline);
         }
@@ -953,9 +963,8 @@ impl Campaign {
     /// recording runs.
     pub fn build_artifacts(&self) -> Result<GoldenArtifacts, CampaignError> {
         let cfg = &self.config;
-        let program = cfg.workload.program();
         let spec = cfg.use_snapshots.then_some(cfg.snapshot_spec);
-        GoldenArtifacts::build(cfg.core, &program, spec).map_err(|end| {
+        GoldenArtifacts::build(cfg.core, cfg.workload.shared_program(), spec).map_err(|end| {
             CampaignError::GoldenRunFailed {
                 workload: cfg.workload,
                 end,
@@ -1010,14 +1019,9 @@ impl Campaign {
         }
         self.validate_artifacts(artifacts)?;
         let cycles = artifacts.cycles();
-        // Target geometry is config-determined; compute it once instead of
-        // per run so the oracle fast path can skip Simulator construction.
-        let geometry = {
-            let sim = Simulator::new(cfg.core, artifacts.program());
-            match cfg.target {
-                InjectionTarget::DataArray => sim.component_geometry(cfg.component),
-                InjectionTarget::TagArray => sim.tag_geometry(cfg.component),
-            }
+        let geometry = match cfg.target {
+            InjectionTarget::DataArray => cfg.core.component_geometry(cfg.component),
+            InjectionTarget::TagArray => cfg.core.tag_geometry(cfg.component),
         };
         // One fault-free observation run buys the provably-masked pre-filter
         // for every injection run. Build failures (e.g. an observation run
@@ -1162,7 +1166,9 @@ impl Campaign {
 
     /// Rejects golden artifacts built for a different campaign (wrong core
     /// configuration, wrong program, or a missing/mismatched snapshot
-    /// store) — shared by the sampled runs and the exhaustive engine.
+    /// store) — shared by the sampled runs and the exhaustive engine. The
+    /// program is compared with the workload's shared image
+    /// ([`Workload::shared_program`]), so a check assembles nothing.
     pub(crate) fn validate_artifacts(
         &self,
         artifacts: &GoldenArtifacts,
@@ -1173,7 +1179,7 @@ impl Campaign {
                 reason: "artifacts were built for a different core configuration",
             });
         }
-        if *artifacts.program() != cfg.workload.program() {
+        if artifacts.program() != cfg.workload.shared_program() {
             return Err(CampaignError::ArtifactMismatch {
                 reason: "artifacts were built for a different program",
             });

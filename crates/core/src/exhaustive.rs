@@ -207,11 +207,14 @@ impl ExhaustivePlan {
         }
         let campaign = Campaign::try_new(config)?;
         let cfg = campaign.config();
-        let oracle =
-            LivenessOracle::build_with_segments(cfg.core, &cfg.workload.program(), cfg.component)
-                .map_err(|e| CampaignError::PartitionFailed {
-                reason: format!("segment capture failed: {e}"),
-            })?;
+        let oracle = LivenessOracle::build_with_segments(
+            cfg.core,
+            cfg.workload.shared_program(),
+            cfg.component,
+        )
+        .map_err(|e| CampaignError::PartitionFailed {
+            reason: format!("segment capture failed: {e}"),
+        })?;
         let interleave = oracle.interleave();
         let partition = Partition::from_residency(oracle.residency()).map_err(|e| {
             CampaignError::PartitionFailed {
@@ -336,7 +339,9 @@ impl ExhaustivePlan {
 
     /// Simulates the live classes `range` (positions in the dense live
     /// order), one representative each, in parallel, scheduled in
-    /// snapshot-locality order (see [`ExhaustivePlan::locality_order`]).
+    /// snapshot-locality order: ascending injection cycle when snapshot
+    /// alignment is on, so consecutive sims resume from neighbouring
+    /// checkpoints.
     /// Outcomes come back sorted by class id and are bit-identical for any
     /// thread count, representative seed, and snapshots on or off — the
     /// shard primitive behind distributed exhaustive sweeps. The

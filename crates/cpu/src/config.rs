@@ -1,6 +1,8 @@
 //! Core configuration (the paper's Table I).
 
+use crate::component::HwComponent;
 use mbu_mem::MemorySystemConfig;
+use mbu_sram::Geometry;
 
 /// Microarchitectural parameters of the modeled out-of-order core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +89,33 @@ impl CoreConfig {
             in_order: false,
             branch_prediction: false,
             mem: MemorySystemConfig::default(),
+        }
+    }
+
+    /// Geometry of an injectable component's bit array — a pure function
+    /// of the configuration, so no machine needs to be built to learn it.
+    pub fn component_geometry(&self, component: HwComponent) -> Geometry {
+        match component {
+            HwComponent::L1D => self.mem.l1d.data_geometry(),
+            HwComponent::L1I => self.mem.l1i.data_geometry(),
+            HwComponent::L2 => self.mem.l2.data_geometry(),
+            HwComponent::RegFile => Geometry::new(self.phys_regs as usize, 32),
+            HwComponent::DTlb => self.mem.dtlb.geometry(),
+            HwComponent::ITlb => self.mem.itlb.geometry(),
+        }
+    }
+
+    /// Geometry of a cache's *tag* array (tag, valid and dirty bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics for non-cache components.
+    pub fn tag_geometry(&self, component: HwComponent) -> Geometry {
+        match component {
+            HwComponent::L1D => self.mem.l1d.tag_geometry(),
+            HwComponent::L1I => self.mem.l1i.tag_geometry(),
+            HwComponent::L2 => self.mem.l2.tag_geometry(),
+            other => panic!("{other} has no tag array"),
         }
     }
 

@@ -15,7 +15,7 @@ use mbu_isa::interp::Trap;
 use mbu_isa::program::Program;
 use mbu_isa::{decode, sys, Instruction, Reg};
 use mbu_mem::{MemFault, MemSnapshot, MemorySystem};
-use mbu_sram::{BitCoord, Geometry, Injectable, LivenessProbe, Restorable, Snapshot};
+use mbu_sram::{BitCoord, Geometry, Injectable, LivenessProbe, Snapshot};
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
@@ -261,8 +261,8 @@ impl Simulator {
             head_seq: 0,
             iq: Vec::with_capacity(cfg.iq_entries as usize),
             decode_q: VecDeque::with_capacity(cfg.decode_buffer as usize),
-            completions: Vec::new(),
-            wb_due: Vec::new(),
+            completions: Vec::with_capacity(cfg.rob_entries as usize),
+            wb_due: Vec::with_capacity(cfg.rob_entries as usize),
             fetch_pc: program.entry,
             fetch_stall: FetchStall::None,
             fetch_ready_at: 0,
@@ -273,6 +273,64 @@ impl Simulator {
             committed: 0,
             output: Vec::new(),
             end: None,
+            deadline: None,
+            deadline_stopped: false,
+            prf_probe: None,
+            pipeline_probe: None,
+            probes_attached: false,
+        }
+    }
+
+    /// Resumes the machine a checkpoint was captured from, under the `cfg`
+    /// it was captured with: the result steps cycle for cycle like that
+    /// machine. The caches, register values and DRAM start out sharing the
+    /// checkpoint's copy-on-write state and the page table is the
+    /// checkpoint's own, so nothing is loaded or rebuilt — an injection run
+    /// pays only for the state it goes on to change. Queues get room for
+    /// their configured bounds, so the hot loop never grows them. No
+    /// deadline and no probes are set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid ([`CoreConfig::validate`]),
+    /// or if the checkpoint was captured under a different memory
+    /// configuration or register count.
+    pub fn from_snapshot(cfg: CoreConfig, state: &SimSnapshot) -> Self {
+        cfg.validate();
+        let mem = MemorySystem::from_snapshot(cfg.mem, &state.mem);
+        assert_eq!(
+            state.prf.len(),
+            cfg.phys_regs as usize,
+            "checkpoint was captured with a different register count"
+        );
+        let mut rob = VecDeque::with_capacity(cfg.rob_entries as usize);
+        rob.extend(state.rob.iter().cloned());
+        let mut iq = Vec::with_capacity(cfg.iq_entries as usize);
+        iq.extend_from_slice(&state.iq);
+        let mut decode_q = VecDeque::with_capacity(cfg.decode_buffer as usize);
+        decode_q.extend(state.decode_q.iter().cloned());
+        let mut completions = Vec::with_capacity(cfg.rob_entries as usize);
+        completions.extend_from_slice(&state.completions);
+        Self {
+            cfg,
+            mem,
+            prf: state.prf.clone(),
+            rob,
+            head_seq: state.head_seq,
+            iq,
+            decode_q,
+            completions,
+            wb_due: Vec::with_capacity(cfg.rob_entries as usize),
+            fetch_pc: state.fetch_pc,
+            fetch_stall: state.fetch_stall,
+            fetch_ready_at: state.fetch_ready_at,
+            predictor: state.predictor.clone(),
+            mispredicts: state.mispredicts,
+            commit_ready_at: state.commit_ready_at,
+            cycle: state.cycle,
+            committed: state.committed,
+            output: state.output.clone(),
+            end: state.end,
             deadline: None,
             deadline_stopped: false,
             prf_probe: None,
@@ -303,11 +361,11 @@ impl Simulator {
     }
 
     /// Sets a wall-clock deadline. [`Simulator::run_until_cycle`] checks it
-    /// on entry and whenever the cycle counter reaches a multiple of
-    /// [`DEADLINE_POLL_INTERVAL`]; once it has passed, the call returns with
-    /// the run still unfinished, which callers classify as a timeout. The
-    /// check reads no machine state, so a run the deadline does not stop is
-    /// cycle-identical to a run without one.
+    /// on entry and whenever the cycle counter reaches a multiple of 1,024
+    /// (`DEADLINE_POLL_INTERVAL`); once it has passed, the call returns
+    /// with the run still unfinished, which callers classify as a timeout.
+    /// The check reads no machine state, so a run the deadline does not
+    /// stop is cycle-identical to a run without one.
     pub fn set_deadline(&mut self, deadline: Instant) {
         self.deadline = Some(deadline);
     }
@@ -361,16 +419,10 @@ impl Simulator {
         &self.prf
     }
 
-    /// Geometry of an injectable component's bit array.
+    /// Geometry of an injectable component's bit array
+    /// ([`CoreConfig::component_geometry`]).
     pub fn component_geometry(&self, component: HwComponent) -> Geometry {
-        match component {
-            HwComponent::L1D => self.mem.l1d.injectable_geometry(),
-            HwComponent::L1I => self.mem.l1i.injectable_geometry(),
-            HwComponent::L2 => self.mem.l2.injectable_geometry(),
-            HwComponent::RegFile => self.prf.injectable_geometry(),
-            HwComponent::DTlb => self.mem.dtlb.injectable_geometry(),
-            HwComponent::ITlb => self.mem.itlb.injectable_geometry(),
-        }
+        self.cfg.component_geometry(component)
     }
 
     /// Flips the given bits of a component's storage array (the particle
@@ -394,14 +446,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics for non-cache components.
+    /// Panics for non-cache components ([`CoreConfig::tag_geometry`]).
     pub fn tag_geometry(&self, component: HwComponent) -> Geometry {
-        match component {
-            HwComponent::L1D => self.mem.l1d.tag_geometry(),
-            HwComponent::L1I => self.mem.l1i.tag_geometry(),
-            HwComponent::L2 => self.mem.l2.tag_geometry(),
-            other => panic!("{other} has no tag array"),
-        }
+        self.cfg.tag_geometry(component)
     }
 
     /// Flips bits of a cache's tag array (tag, valid and dirty bits) —
@@ -829,11 +876,8 @@ impl Simulator {
                     // Rename sources against the current map *before*
                     // allocating the destination (handles `add r1, r1, r1`).
                     let sources = instr.sources();
-                    let mut srcs = [None, None];
-                    for (k, r) in sources.iter().take(2).enumerate() {
-                        srcs[k] = self.prf.rename(*r);
-                    }
-                    let nsrcs = sources.len().min(2) as u8;
+                    let srcs = sources.map(|r| r.and_then(|r| self.prf.rename(r)));
+                    let nsrcs = sources.iter().flatten().count() as u8;
                     let dest = instr.dest().map(|arch| {
                         let (new, prev) = self.prf.allocate(arch).expect("free-list checked above");
                         DestInfo { arch, new, prev }
@@ -992,7 +1036,7 @@ impl Simulator {
     ///
     /// Two safety rails bound the loop beyond the plain cycle budget:
     ///
-    /// * a **stall fuse** — [`STALL_FUSE`] consecutive cycles without a
+    /// * a **stall fuse** — 2¹⁸ (`STALL_FUSE`) consecutive cycles without a
     ///   commit end the run as [`RunEnd::CycleLimit`] (a wedged pipeline is a
     ///   livelock; burning the remaining budget would only waste wall-clock);
     /// * a **deadline check** — once a deadline set with
@@ -1010,7 +1054,7 @@ impl Simulator {
     /// fuse *continuous* across the segments. A sequence of calls with the
     /// same `stalled` counter behaves exactly like one uninterrupted
     /// [`Simulator::run_until_cycle`] call over the combined range — the
-    /// fuse trips after [`STALL_FUSE`] consecutive commit-less cycles
+    /// fuse trips after 2¹⁸ (`STALL_FUSE`) consecutive commit-less cycles
     /// regardless of how the range was segmented, which is what keeps
     /// fast-forwarded injection runs classification-identical to full runs.
     /// The deadline is likewise checked on entry and at the same cycle
@@ -1108,9 +1152,9 @@ fn same_completion_set(a: &[(u64, u64)], b: &[(u64, u64)]) -> bool {
 /// cycle/retire counters.
 ///
 /// Non-architectural attachments — the deadline and liveness probes —
-/// are deliberately excluded: restoring a snapshot into a fresh simulator
-/// built for the same program and configuration reproduces execution
-/// cycle-for-cycle.
+/// are deliberately excluded: [`Simulator::from_snapshot`] under the same
+/// configuration reproduces execution cycle-for-cycle, with no program to
+/// reload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     mem: MemSnapshot,
@@ -1182,28 +1226,6 @@ impl Snapshot for Simulator {
             output: self.output.clone(),
             end: self.end,
         }
-    }
-}
-
-impl Restorable for Simulator {
-    fn restore(&mut self, state: &SimSnapshot) {
-        self.mem.restore(&state.mem);
-        self.prf.clone_from(&state.prf);
-        self.rob.clone_from(&state.rob);
-        self.head_seq = state.head_seq;
-        self.iq.clone_from(&state.iq);
-        self.decode_q.clone_from(&state.decode_q);
-        self.completions.clone_from(&state.completions);
-        self.fetch_pc = state.fetch_pc;
-        self.fetch_stall = state.fetch_stall;
-        self.fetch_ready_at = state.fetch_ready_at;
-        self.predictor.clone_from(&state.predictor);
-        self.mispredicts = state.mispredicts;
-        self.commit_ready_at = state.commit_ready_at;
-        self.cycle = state.cycle;
-        self.committed = state.committed;
-        self.output.clone_from(&state.output);
-        self.end = state.end;
     }
 }
 
@@ -1728,9 +1750,9 @@ mod snapshot_tests {
         let resumed = sim.run(1_000_000);
         assert_eq!(resumed, uninterrupted);
 
-        // Restore into a *fresh* simulator: identical continuation.
-        let mut fresh = Simulator::new(cfg, &p);
-        fresh.restore(&saved);
+        // Resume a *fresh* simulator from the checkpoint alone: identical
+        // continuation, with no program to reload.
+        let fresh = Simulator::from_snapshot(cfg, &saved);
         assert_eq!(fresh.snapshot(), saved, "roundtrip must be bit-exact");
         let replayed = fresh.run(1_000_000);
         assert_eq!(replayed, uninterrupted);
@@ -1739,14 +1761,26 @@ mod snapshot_tests {
     #[test]
     fn restore_rewinds_a_diverged_machine() {
         let p = busy_program();
-        let mut sim = Simulator::new(CoreConfig::cortex_a9_like(), &p);
+        let cfg = CoreConfig::cortex_a9_like();
+        let mut sim = Simulator::new(cfg, &p);
         sim.run_until_cycle(100);
         let saved = sim.snapshot();
+        sim.inject_flips(HwComponent::L1D, &[BitCoord::new(0, 0)]);
         sim.run_until_cycle(500);
         assert!(!sim.converged_with(&saved), "cycle count alone differs");
-        sim.restore(&saved);
+        let sim = Simulator::from_snapshot(cfg, &saved);
         assert!(sim.converged_with(&saved));
         assert_eq!(sim.snapshot(), saved);
+    }
+
+    #[test]
+    #[should_panic(expected = "different memory configuration")]
+    fn resuming_under_another_memory_configuration_panics() {
+        let p = busy_program();
+        let saved = Simulator::new(CoreConfig::cortex_a9_like(), &p).snapshot();
+        let mut other = CoreConfig::cortex_a9_like();
+        other.mem = mbu_mem::MemorySystemConfig::table1();
+        let _ = Simulator::from_snapshot(other, &saved);
     }
 
     #[test]

@@ -614,19 +614,21 @@ impl Instruction {
         }
     }
 
-    /// The source registers read by this instruction (up to 3, deduplicated
-    /// reads of `r0` are retained — `r0` is always ready).
-    pub fn sources(&self) -> Vec<Reg> {
+    /// The source registers read by this instruction, in operand order:
+    /// at most two, filled from the front (`[None, None]` reads nothing).
+    /// Reads of `r0` are retained — `r0` is always ready.
+    pub fn sources(&self) -> [Option<Reg>; 2] {
         match *self {
-            Instruction::Alu { rs, rt, .. } => vec![rs, rt],
-            Instruction::AluImm { rs, .. } => vec![rs],
-            Instruction::Load { rs, .. } => vec![rs],
-            Instruction::Store { rt, rs, .. } => vec![rs, rt],
-            Instruction::Branch { rs, rt, .. } => vec![rs, rt],
-            Instruction::Jr { rs } | Instruction::Jalr { rs, .. } => vec![rs],
+            Instruction::Alu { rs, rt, .. }
+            | Instruction::Store { rt, rs, .. }
+            | Instruction::Branch { rs, rt, .. } => [Some(rs), Some(rt)],
+            Instruction::AluImm { rs, .. }
+            | Instruction::Load { rs, .. }
+            | Instruction::Jr { rs }
+            | Instruction::Jalr { rs, .. } => [Some(rs), None],
             // The system layer reads r2/r3 architecturally at commit.
-            Instruction::Syscall => vec![Reg::new(2), Reg::new(3)],
-            _ => vec![],
+            Instruction::Syscall => [Some(Reg::new(2)), Some(Reg::new(3))],
+            _ => [None, None],
         }
     }
 

@@ -133,6 +133,19 @@ impl CacheConfig {
     fn tag_bits(&self) -> u32 {
         32 - self.index_bits() - self.offset_bits()
     }
+
+    /// *Physical* geometry of the data array: with interleaving `I`, each
+    /// physical word line holds `I` logical lines column-interleaved, so
+    /// the surface is `lines/I` rows × `256·I` columns (same total bits).
+    pub fn data_geometry(&self) -> Geometry {
+        let i = self.interleave as usize;
+        Geometry::new(self.lines() as usize / i, (LINE_BYTES * 8) as usize * i)
+    }
+
+    /// Geometry of the tag array (tag bits + valid + dirty per line).
+    pub fn tag_geometry(&self) -> Geometry {
+        Geometry::new(self.lines() as usize, self.tag_bits() as usize + 2)
+    }
 }
 
 /// Which internal SRAM array of a cache to target.
@@ -209,7 +222,7 @@ const DIRTY_BIT: u64 = 1 << 63;
 /// let (line, miss_lat) = l1.access(0x40, true, &mut next)?;
 /// l1.write_bytes(line, 0, &42u32.to_le_bytes());
 /// let (line, hit_lat) = l1.access(0x40, false, &mut next)?;
-/// assert_eq!(l1.read_bytes(line, 0, 4), vec![42, 0, 0, 0]);
+/// assert_eq!(l1.read_bytes(line, 0, 4), [42, 0, 0, 0]);
 /// assert!(hit_lat < miss_lat);
 /// # Ok::<(), mbu_mem::phys::UnmappedPhysical>(())
 /// ```
@@ -376,15 +389,16 @@ impl Cache {
         out
     }
 
-    /// Reads `width` bytes at `offset` within a resident line.
+    /// Reads `width` bytes at `offset` within a resident line, borrowed
+    /// straight from the data array.
     ///
     /// # Panics
     ///
     /// Panics if the range leaves the line.
-    pub fn read_bytes(&self, line: LineIdx, offset: u32, width: u32) -> Vec<u8> {
+    pub fn read_bytes(&self, line: LineIdx, offset: u32, width: u32) -> &[u8] {
         assert!(offset + width <= LINE_BYTES, "read crosses line boundary");
         let base = line.0 as usize * LINE_BYTES as usize + offset as usize;
-        self.data[base..base + width as usize].to_vec()
+        &self.data[base..base + width as usize]
     }
 
     /// Writes bytes at `offset` within a resident line (caller must have
@@ -426,10 +440,7 @@ impl Cache {
 
     /// Geometry of the tag array (tag bits + valid + dirty per line).
     pub fn tag_geometry(&self) -> Geometry {
-        Geometry::new(
-            self.config.lines() as usize,
-            self.config.tag_bits() as usize + 2,
-        )
+        self.config.tag_geometry()
     }
 
     /// Flips one bit of the tag array. Columns `0..tag_bits` are tag bits,
@@ -530,15 +541,9 @@ impl Cache {
 }
 
 impl Injectable for Cache {
-    /// *Physical* geometry of the data array: with interleaving `I`, each
-    /// physical word line holds `I` logical lines column-interleaved, so
-    /// the surface is `lines/I` rows × `256·I` columns (same total bits).
+    /// The data array's physical geometry ([`CacheConfig::data_geometry`]).
     fn injectable_geometry(&self) -> Geometry {
-        let i = self.config.interleave as usize;
-        Geometry::new(
-            self.config.lines() as usize / i,
-            (LINE_BYTES * 8) as usize * i,
-        )
+        self.config.data_geometry()
     }
 
     /// Maps the physical strike coordinate through the interleaving to the
@@ -602,7 +607,7 @@ mod tests {
         };
         let (line, lat) = c.access(0x44, false, &mut next).unwrap();
         assert_eq!(lat, 52);
-        assert_eq!(c.read_bytes(line, 4, 2), vec![9, 9]);
+        assert_eq!(c.read_bytes(line, 4, 2), [9, 9]);
         let (_, lat2) = c.access(0x44, false, &mut next).unwrap();
         assert_eq!(lat2, 2);
         assert_eq!(c.stats().hits, 1);
@@ -655,11 +660,11 @@ mod tests {
             latency: 50,
         };
         let (line, _) = c.access(0x00, false, &mut next).unwrap();
-        assert_eq!(c.read_bytes(line, 0, 1), vec![0]);
+        assert_eq!(c.read_bytes(line, 0, 1), [0]);
         // The handle row equals the internal line index.
         c.inject_flip(BitCoord::new(0, 3));
         let (line, _) = c.access(0x00, false, &mut next).unwrap();
-        assert_eq!(c.read_bytes(line, 0, 1), vec![8]);
+        assert_eq!(c.read_bytes(line, 0, 1), [8]);
     }
 
     #[test]
@@ -788,7 +793,7 @@ mod tests {
         c.inject_tag_flip(BitCoord::new(0, 0));
         let (line, lat) = c.access(0x080, false, &mut next).unwrap();
         assert_eq!(lat, 2, "false hit");
-        assert_eq!(c.read_bytes(line, 0, 1), vec![1], "serves stale wrong data");
+        assert_eq!(c.read_bytes(line, 0, 1), [1], "serves stale wrong data");
     }
 }
 
@@ -819,7 +824,7 @@ mod interleave_tests {
         let mut a = interleaved_cache(1);
         a.inject_flip(BitCoord::new(3, 17));
         let line = LineIdx(3);
-        assert_eq!(a.read_bytes(line, 2, 1), vec![1 << 1]); // bit 17 = byte 2 bit 1
+        assert_eq!(a.read_bytes(line, 2, 1), [1 << 1]); // bit 17 = byte 2 bit 1
     }
 
     #[test]
@@ -833,7 +838,7 @@ mod interleave_tests {
         for line in 0..4u32 {
             assert_eq!(
                 c.read_bytes(LineIdx(line), 0, 1),
-                vec![1],
+                [1],
                 "logical line {line} must hold exactly bit 0"
             );
         }
@@ -850,7 +855,7 @@ mod interleave_tests {
             }
         }
         for line in 0..8u32 {
-            assert_eq!(c.read_bytes(LineIdx(line), 0, 32), vec![0xFF; 32]);
+            assert_eq!(c.read_bytes(LineIdx(line), 0, 32), [0xFF; 32]);
         }
     }
 

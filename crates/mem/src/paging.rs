@@ -82,7 +82,7 @@ pub struct PageTableEntry {
 }
 
 /// A sparse single-level page table mapping VPN → PTE.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageTable {
     entries: BTreeMap<u32, PageTableEntry>,
 }

@@ -8,8 +8,9 @@ use crate::probe::{record_cache_access, Demand, MemProbes};
 use crate::tlb::{Tlb, TlbConfig, ENTRY_BITS, PPN_SHIFT, VPN_SHIFT};
 use crate::{AddressSpace, PAGE_SIZE, PPN_BITS, VA_BITS, VPN_BITS};
 use mbu_isa::program::{Program, DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE};
-use mbu_sram::{Restorable, Snapshot};
+use mbu_sram::Snapshot;
 use std::fmt;
+use std::sync::Arc;
 
 /// A value annotated with the access latency that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,7 +183,7 @@ impl LineStore for L2Backing<'_> {
             );
         }
         let mut bytes = [0u8; 32];
-        bytes.copy_from_slice(&self.l2.read_bytes(line, 0, LINE_BYTES));
+        bytes.copy_from_slice(self.l2.read_bytes(line, 0, LINE_BYTES));
         Ok((bytes, lat))
     }
 
@@ -241,7 +242,8 @@ pub struct MemorySystem {
     pub itlb: Tlb,
     /// Data TLB.
     pub dtlb: Tlb,
-    page_table: PageTable,
+    /// Immutable after construction, so every checkpoint shares it.
+    page_table: Arc<PageTable>,
     phys: PhysicalMemory,
     probes: Option<Box<MemProbes>>,
     probe_cycle: u64,
@@ -265,8 +267,41 @@ impl MemorySystem {
             l2: Cache::new(config.l2),
             itlb: Tlb::new(config.itlb),
             dtlb: Tlb::new(config.dtlb),
-            page_table,
+            page_table: Arc::new(page_table),
             phys,
+            probes: None,
+            probe_cycle: 0,
+        }
+    }
+
+    /// Resumes a memory system from a checkpoint taken under `config`: the
+    /// caches, TLBs and DRAM start out sharing the checkpoint's
+    /// copy-on-write state, and the page table is the checkpoint's own, so
+    /// nothing is loaded or rebuilt. No probes are attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint's caches, TLBs or DRAM were built under a
+    /// different configuration.
+    pub fn from_snapshot(config: MemorySystemConfig, state: &MemSnapshot) -> Self {
+        assert!(
+            state.l1i.config() == config.l1i
+                && state.l1d.config() == config.l1d
+                && state.l2.config() == config.l2
+                && state.itlb.config() == config.itlb
+                && state.dtlb.config() == config.dtlb
+                && state.phys.dram_frames() == config.dram_frames,
+            "checkpoint was captured under a different memory configuration"
+        );
+        Self {
+            config,
+            l1i: state.l1i.clone(),
+            l1d: state.l1d.clone(),
+            l2: state.l2.clone(),
+            itlb: state.itlb.clone(),
+            dtlb: state.dtlb.clone(),
+            page_table: Arc::clone(&state.page_table),
+            phys: state.phys.clone(),
             probes: None,
             probe_cycle: 0,
         }
@@ -541,8 +576,9 @@ impl MemorySystem {
                 },
             );
         }
-        let bytes: Vec<u8> = (0..width).map(|i| (value >> (8 * i)) as u8).collect();
-        self.l1d.write_bytes(line, t.value % LINE_BYTES, &bytes);
+        let bytes = value.to_le_bytes();
+        self.l1d
+            .write_bytes(line, t.value % LINE_BYTES, &bytes[..width as usize]);
         Ok(Timed {
             value: (),
             latency: t.latency + lat,
@@ -587,17 +623,20 @@ impl MemorySystem {
     }
 }
 
-/// A bit-exact checkpoint of all mutable memory-hierarchy state: both L1s,
-/// the L2, both TLBs (arrays, replacement metadata and counters) and the
-/// physical DRAM (shared page-granular copy-on-write, so holding many
-/// checkpoints costs only the pages that differ between them).
+/// A bit-exact checkpoint of the whole memory hierarchy: both L1s, the L2,
+/// both TLBs (arrays, replacement metadata and counters) and the physical
+/// DRAM (shared page-granular copy-on-write, so holding many checkpoints
+/// costs only the pages that differ between them), plus the page table —
+/// enough for [`MemorySystem::from_snapshot`] to resume the system under
+/// the configuration it was taken with.
 ///
-/// The page table is deliberately absent: it is immutable after
-/// [`MemorySystem::for_program`] and is re-created identically by
-/// constructing a fresh system for the same program. Probe attachments are
-/// non-architectural and are likewise excluded.
+/// The page table is immutable after [`MemorySystem::for_program`], so a
+/// checkpoint shares it ([`Arc`]) with the system it was taken from and
+/// with every system resumed from it. Probe attachments are
+/// non-architectural and are excluded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemSnapshot {
+    pub(crate) page_table: Arc<PageTable>,
     pub(crate) l1i: Cache,
     pub(crate) l1d: Cache,
     pub(crate) l2: Cache,
@@ -609,7 +648,8 @@ pub struct MemSnapshot {
 impl MemSnapshot {
     /// Approximate retained heap bytes of this checkpoint. DRAM pages and
     /// copy-on-write cache arrays shared with `prev` (an already-retained
-    /// checkpoint) are not charged again.
+    /// checkpoint) are not charged again; the page table, shared by every
+    /// checkpoint of a run, is never charged.
     pub fn retained_bytes(&self, prev: Option<&Self>) -> usize {
         self.l1i.retained_bytes(prev.map(|p| &p.l1i))
             + self.l1d.retained_bytes(prev.map(|p| &p.l1d))
@@ -625,6 +665,7 @@ impl Snapshot for MemorySystem {
 
     fn snapshot(&self) -> MemSnapshot {
         MemSnapshot {
+            page_table: Arc::clone(&self.page_table),
             l1i: self.l1i.snapshot(),
             l1d: self.l1d.snapshot(),
             l2: self.l2.snapshot(),
@@ -632,17 +673,6 @@ impl Snapshot for MemorySystem {
             dtlb: self.dtlb.snapshot(),
             phys: self.phys.snapshot(),
         }
-    }
-}
-
-impl Restorable for MemorySystem {
-    fn restore(&mut self, state: &MemSnapshot) {
-        self.l1i.restore(&state.l1i);
-        self.l1d.restore(&state.l1d);
-        self.l2.restore(&state.l2);
-        self.itlb.restore(&state.itlb);
-        self.dtlb.restore(&state.dtlb);
-        self.phys.restore(&state.phys);
     }
 }
 
@@ -770,9 +800,13 @@ mod tests {
         ms.write(DATA_BASE + 0x400, 4, 0x3333).unwrap(); // new TLB entry
         ms.flush_caches().unwrap();
         assert!(!ms.converged_with(&saved));
-        ms.restore(&saved);
+        let mut ms = MemorySystem::from_snapshot(MemorySystemConfig::default(), &saved);
         assert!(ms.converged_with(&saved));
         assert_eq!(ms.snapshot(), saved);
+        assert!(
+            Arc::ptr_eq(&ms.page_table, &saved.page_table),
+            "a resumed system shares the checkpoint's page table"
+        );
         assert_eq!(ms.read(DATA_BASE, 4).unwrap().value, 0x1111);
     }
 

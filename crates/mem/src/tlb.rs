@@ -43,6 +43,14 @@ pub struct TlbConfig {
     pub walk_latency: u32,
 }
 
+impl TlbConfig {
+    /// Geometry of the entry array: one row per entry, [`ENTRY_BITS`]
+    /// columns.
+    pub fn geometry(&self) -> Geometry {
+        Geometry::new(self.entries, ENTRY_BITS as usize)
+    }
+}
+
 impl Default for TlbConfig {
     fn default() -> Self {
         // Table I: 32-entry instruction and data TLBs.
@@ -213,7 +221,7 @@ impl Restorable for Tlb {
 
 impl Injectable for Tlb {
     fn injectable_geometry(&self) -> Geometry {
-        Geometry::new(self.entries.len(), ENTRY_BITS as usize)
+        self.config.geometry()
     }
 
     fn inject_flip(&mut self, coord: BitCoord) {

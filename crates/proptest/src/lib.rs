@@ -341,7 +341,7 @@ pub mod sample {
 }
 
 pub mod collection {
-    //! `proptest::collection` subset: [`vec`].
+    //! `proptest::collection` subset: [`vec()`].
 
     use super::{Strategy, TestRng};
     use std::ops::Range;

@@ -10,10 +10,14 @@
 //!    checkpoints ([`mbu_cpu::SimSnapshot`]) every `interval` cycles —
 //!    pipeline (register file with rename state, ROB, issue/decode queues,
 //!    in-flight completions, fetch state), all SRAM arrays (cache data +
-//!    tag + LRU, TLBs), copy-on-write DRAM pages, syscall output and the
-//!    cycle/retire counters.
-//! 2. **Fast-forward.** An injection run restores the nearest checkpoint at
-//!    or before its injection cycle instead of re-simulating the prefix.
+//!    tag + LRU, TLBs), copy-on-write DRAM pages, the shared page table,
+//!    syscall output and the cycle/retire counters.
+//! 2. **Fast-forward.** An injection run resumes from the nearest
+//!    checkpoint at or before its injection cycle
+//!    ([`Simulator::from_snapshot`]) instead of re-simulating the prefix.
+//!    A checkpoint is enough on its own: the run loads no program and
+//!    builds no page table, and it starts out sharing the checkpoint's
+//!    copy-on-write arrays, so it pays only for the state it changes.
 //! 3. **Reconvergence.** After the flip, the run pauses at each subsequent
 //!    golden checkpoint and compares *reachable* state
 //!    ([`mbu_cpu::Simulator::converged_with`]). The simulator is
@@ -340,7 +344,6 @@ impl GoldenArtifacts {
 mod tests {
     use super::*;
     use mbu_cpu::RunEnd;
-    use mbu_sram::Restorable;
     use mbu_workloads::Workload;
 
     fn golden(core: CoreConfig, program: &Program) -> (u64, mbu_cpu::RunResult) {
@@ -392,9 +395,7 @@ mod tests {
         let store = SnapshotStore::record_golden(core, &p, t_ff, SnapshotSpec::default());
         let mid = store.nearest_at_or_before(t_ff / 2);
         assert!(mid.cycle() > 0, "auto interval must checkpoint mid-run");
-        let mut sim = Simulator::new(core, &p);
-        sim.restore(mid);
-        let replay = sim.run(u64::MAX / 8);
+        let replay = Simulator::from_snapshot(core, mid).run(u64::MAX / 8);
         assert_eq!(replay, full, "fast-forwarded replay must be bit-identical");
     }
 

@@ -50,6 +50,7 @@ mod susan;
 use mbu_isa::Program;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 /// MiBench-style dataset size. Every workload ships two deterministic
 /// input sets, like the original suite's `small`/`large` data files.
@@ -157,6 +158,15 @@ impl Workload {
         self.program_with(DataSet::Small)
     }
 
+    /// The small-dataset program ([`Workload::program`]), assembled once
+    /// per process and shared: what to compare against, or load from,
+    /// when the same workload's image is needed again and again.
+    pub fn shared_program(self) -> &'static Program {
+        static PROGRAMS: [OnceLock<Program>; Workload::ALL.len()] =
+            [const { OnceLock::new() }; Workload::ALL.len()];
+        PROGRAMS[self as usize].get_or_init(|| self.program())
+    }
+
     /// Builds the assembled program with the chosen dataset.
     ///
     /// # Panics
@@ -248,6 +258,15 @@ pub(crate) const EXIT0: &str = "\n    li r2, 0\n    li r3, 0\n    syscall\n";
 mod tests {
     use super::*;
     use mbu_isa::interp::{ArchInterpreter, StopReason};
+
+    #[test]
+    fn shared_program_is_the_assembled_program_built_once() {
+        for w in [Workload::Sha, Workload::Stringsearch] {
+            let shared = w.shared_program();
+            assert_eq!(*shared, w.program());
+            assert!(std::ptr::eq(shared, w.shared_program()));
+        }
+    }
 
     #[test]
     fn all_names_parse_back() {
