@@ -27,7 +27,7 @@ use mbu_gefin::stats::{error_margin, fault_population, Z_99};
 use mbu_gefin::tech::{
     assessment_gap, component_bits, node_avf, node_avf_with_rates, projected, TechNode,
 };
-use mbu_gefin::{GoldenArtifacts, SnapshotSpec};
+use mbu_gefin::GoldenArtifacts;
 use mbu_workloads::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -220,19 +220,13 @@ pub struct Experiments {
     /// none); on expiry the sweep stops cleanly with partial results.
     pub deadline: Option<Duration>,
     /// Checkpoint/restore fast-forward injection (default on): every
-    /// campaign records golden-run snapshots, restores the nearest one
-    /// instead of re-simulating the fault-free prefix, and classifies
-    /// reconverged runs `Masked` early. Classifications are bit-identical
-    /// to the plain path, which stays only as the reference the
-    /// differential suites compare against.
+    /// campaign records golden-run snapshots at the auto-tuned interval,
+    /// restores the nearest one instead of re-simulating the fault-free
+    /// prefix, and classifies reconverged runs `Masked` early.
+    /// Classifications are bit-identical to the plain path, which stays
+    /// only as the reference the differential suites compare against.
+    /// Fabric workers always run the snapshot path.
     pub use_snapshots: bool,
-    /// Snapshot interval in cycles (`MBU_SNAPSHOT_INTERVAL`, default:
-    /// auto-tuned from each workload's fault-free execution time).
-    pub snapshot_interval: Option<u64>,
-    /// Hard cap on retained snapshot memory in MiB (`MBU_SNAPSHOT_MEM_MB`);
-    /// over the cap the store thins to sparser intervals instead of
-    /// growing.
-    pub snapshot_mem_mb: Option<u64>,
     /// Hard cap on live equivalence classes per exhaustive campaign
     /// (`MBU_EXHAUSTIVE_MAX_CLASSES`, default 4 000 000). A partition
     /// larger than the cap is rejected with a typed
@@ -257,8 +251,6 @@ impl Default for Experiments {
             adaptive: None,
             deadline: None,
             use_snapshots: true,
-            snapshot_interval: None,
-            snapshot_mem_mb: None,
             exhaustive_max_classes: DEFAULT_MAX_CLASSES,
             max_cardinality: 3,
         }
@@ -314,16 +306,6 @@ impl Experiments {
                 &v,
                 "must be an integer",
             )?));
-        }
-        if let Some(v) = env_value("MBU_SNAPSHOT_INTERVAL")? {
-            e.snapshot_interval = Some(parse_env(
-                "MBU_SNAPSHOT_INTERVAL",
-                &v,
-                "must be an integer",
-            )?);
-        }
-        if let Some(v) = env_value("MBU_SNAPSHOT_MEM_MB")? {
-            e.snapshot_mem_mb = Some(parse_env("MBU_SNAPSHOT_MEM_MB", &v, "must be an integer")?);
         }
         if let Some(v) = env_value("MBU_EXHAUSTIVE_MAX_CLASSES")? {
             e.exhaustive_max_classes = parse_env(
@@ -445,15 +427,6 @@ impl Experiments {
         t
     }
 
-    /// The snapshot-recording parameters shared by every campaign (and by
-    /// [`GoldenArtifacts`] built for sweep-wide sharing).
-    pub(crate) fn snapshot_spec(&self) -> SnapshotSpec {
-        SnapshotSpec {
-            interval: self.snapshot_interval,
-            mem_cap_bytes: self.snapshot_mem_mb.map(|mb| mb * 1024 * 1024),
-        }
-    }
-
     /// The campaign configuration for one (component, workload,
     /// cardinality) — the single source of truth both execution paths and
     /// the fingerprint computation share.
@@ -468,8 +441,7 @@ impl Experiments {
             .seed(self.seed)
             .threads(self.threads)
             .adaptive(self.adaptive)
-            .use_snapshots(self.use_snapshots)
-            .snapshot_spec(self.snapshot_spec());
+            .use_snapshots(self.use_snapshots);
         cfg.core = self.core;
         cfg
     }
@@ -894,7 +866,7 @@ impl Experiments {
         t.row(vec![
             "format version".into(),
             match audit.version {
-                StoreVersion::V2 => "v2 (checksummed)".into(),
+                StoreVersion::Checksummed => "v2 (checksummed)".into(),
                 StoreVersion::Legacy => "legacy v1 (no checksums, no fingerprints)".into(),
             },
         ]);

@@ -43,9 +43,7 @@ use crate::chaos::WorkerChaos;
 use crate::io::{RealIo, StoreIo};
 use crate::protocol::{read_frame, write_frame, ProtocolError, ToSupervisor, ToWorker};
 use crate::source::{run_unit, FaultSource, RunHook, UnitCache};
-use crate::store::{
-    Key, ResultStore, ShardExhaustive, ShardLoadAudit, ShardRow, ShardStore, StoreError,
-};
+use crate::store::{Key, ResultStore, ShardExhaustive, ShardRow, ShardStore, StoreError};
 use crate::Experiments;
 use mbu_gefin::campaign::UnitSpec;
 use mbu_gefin::integrity::{golden_fingerprint, GoldenFingerprint};
@@ -53,7 +51,6 @@ use mbu_workloads::Workload;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -343,47 +340,25 @@ pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, std::io::Error> {
     Ok(files)
 }
 
-/// What [`load_shard_dir`] found: every intact row across the directory,
-/// plus the per-file recovery audit.
-pub type ShardDirLoad = (Vec<ShardRow>, Vec<(PathBuf, ShardLoadAudit)>);
-
 /// Loads every shard store of `dir` crash-safely (defective rows
 /// quarantined to sidecars, files rewritten clean) and concatenates their
-/// rows. A shard file that is not a shard store at all (wrong version
-/// line) is skipped with its audit reporting zero rows — its worker wrote
-/// garbage, and the merge's gap detection re-runs whatever it covered.
+/// rows. A file that is not a shard store at all (wrong version line) is
+/// skipped — its worker wrote garbage, and the merge's gap detection
+/// re-runs whatever it covered.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn load_shard_dir(io: &dyn StoreIo, dir: &Path) -> Result<ShardDirLoad, StoreError> {
+pub fn load_shard_dir(io: &dyn StoreIo, dir: &Path) -> Result<Vec<ShardRow>, StoreError> {
     let mut rows = Vec::new();
-    let mut audits = Vec::new();
     for path in shard_files(dir)? {
         match ShardStore::recover_with(io, &path) {
-            Ok((store, audit)) => {
-                rows.extend(store.rows().iter().cloned());
-                audits.push((path, audit));
-            }
-            Err(StoreError::UnsupportedVersion { found }) => {
-                audits.push((
-                    path,
-                    ShardLoadAudit {
-                        rows_loaded: 0,
-                        quarantined: vec![crate::store::QuarantinedRow {
-                            line: 1,
-                            raw: found,
-                            defect: crate::store::RowDefect::Syntax {
-                                message: "not a shard store (bad version line)".into(),
-                            },
-                        }],
-                    },
-                ));
-            }
+            Ok((store, _)) => rows.extend_from_slice(store.rows()),
+            Err(StoreError::UnsupportedVersion { .. }) => {}
             Err(e) => return Err(e),
         }
     }
-    Ok((rows, audits))
+    Ok(rows)
 }
 
 /// One shard file's pre-merge audit (the `repro verify-store --shards`
@@ -425,26 +400,16 @@ pub fn audit_shard_dir(exp: &Experiments, dir: &Path) -> Result<Vec<ShardAudit>,
     let mut audits = Vec::new();
     for path in shard_files(dir)? {
         let text = RealIo.read_to_string(&path)?;
-        let (store, load) = match ShardStore::from_csv_lossy(&text) {
-            Ok(pair) => pair,
-            Err(StoreError::UnsupportedVersion { .. }) => {
-                audits.push(ShardAudit {
-                    path,
-                    rows: 0,
-                    quarantined: 1,
-                    fresh: 0,
-                    stale: 0,
-                    exhaustive: 0,
-                    weight_defects: 0,
-                });
-                continue;
-            }
+        // A file that is not a shard store is one defect with no rows.
+        let (store, quarantined) = match ShardStore::from_csv_lossy(&text) {
+            Ok((store, load)) => (store, load.quarantined.len()),
+            Err(StoreError::UnsupportedVersion { .. }) => (ShardStore::new(), 1),
             Err(e) => return Err(e),
         };
         let mut audit = ShardAudit {
             path,
-            rows: load.rows_loaded,
-            quarantined: load.quarantined.len(),
+            rows: store.len(),
+            quarantined,
             fresh: 0,
             stale: 0,
             exhaustive: 0,
@@ -502,8 +467,8 @@ fn reconcile_exhaustive(rows: &[ShardRow], audit: &mut ShardAudit) {
 
 /// Rebuilds an [`Experiments`] from the wire [`crate::protocol::ExpSpec`]
 /// for one workload — the worker-side mirror of the supervisor's
-/// configuration. The core configuration is the shared default; drift is
-/// caught by fingerprint verification at merge.
+/// configuration. The core configuration and the snapshot path are the
+/// shared defaults; drift is caught by fingerprint verification at merge.
 pub fn spec_experiments(spec: &crate::protocol::ExpSpec, workload: Workload) -> Experiments {
     Experiments {
         runs: spec.runs,
@@ -511,16 +476,13 @@ pub fn spec_experiments(spec: &crate::protocol::ExpSpec, workload: Workload) -> 
         threads: spec.threads,
         workloads: vec![workload],
         adaptive: spec.adaptive,
-        use_snapshots: spec.use_snapshots,
-        snapshot_interval: spec.snapshot_interval,
-        snapshot_mem_mb: spec.snapshot_mem_mb,
         ..Experiments::default()
     }
 }
 
-/// The in-flight unit a worker's heartbeat reports: (unit id,
-/// runs-started counter), shared with the control loop.
-type Pulse = Mutex<Option<(u64, Arc<AtomicUsize>)>>;
+/// The id of the unit in flight, which the worker's heartbeat reports:
+/// shared with the control loop.
+type Pulse = Mutex<Option<u64>>;
 
 /// The worker process's control loop: announce, then execute assignments
 /// until shutdown (or the supervisor disappears), persisting every
@@ -584,12 +546,9 @@ where
                 if chaos.heartbeat_muted() {
                     continue;
                 }
-                let snapshot = pulse.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                if let Some((unit_id, progress)) = snapshot {
-                    let msg = ToSupervisor::Heartbeat {
-                        unit_id,
-                        done: progress.load(Ordering::Relaxed),
-                    };
+                let in_flight = *pulse.lock().unwrap_or_else(|e| e.into_inner());
+                if let Some(unit_id) = in_flight {
+                    let msg = ToSupervisor::Heartbeat { unit_id };
                     let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
                     // A send failure means the supervisor is gone; the
                     // control loop will notice on its next read.
@@ -599,17 +558,9 @@ where
         })
     };
     let mut cache = UnitCache::default();
-    // One worker-lifetime progress counter, reset per assignment: cached
-    // exhaustive plans bake the run hook into their configuration, so it
-    // must outlive any single unit.
-    let progress = Arc::new(AtomicUsize::new(0));
     let hook: RunHook = {
         let chaos = Arc::clone(&chaos);
-        let progress = Arc::clone(&progress);
-        Arc::new(move |_| {
-            chaos.on_run();
-            progress.fetch_add(1, Ordering::Relaxed);
-        })
+        Arc::new(move |_| chaos.on_run())
     };
     let mut garbage_sent = false;
     let outcome = loop {
@@ -631,9 +582,7 @@ where
                     let _ = w.flush();
                 }
                 let e = spec_experiments(&exp, unit.workload);
-                progress.store(0, Ordering::Relaxed);
-                *pulse.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some((unit_id, Arc::clone(&progress)));
+                *pulse.lock().unwrap_or_else(|e| e.into_inner()) = Some(unit_id);
                 let outcome = run_unit(&e, &unit, exp.equiv.as_ref(), &mut cache, &hook);
                 *pulse.lock().unwrap_or_else(|e| e.into_inner()) = None;
                 match outcome {

@@ -11,18 +11,21 @@
 //! the supervisor allocate. Anything malformed surfaces as a typed
 //! [`ProtocolError`] — the supervisor treats it as a worker fault, never
 //! as data.
+//!
+//! A completed unit's [`ShardRow`] travels as a JSON string holding its
+//! checksummed shard line ([`ShardRow::to_line`]) and is decoded by the
+//! parser shard loads use ([`ShardRow::from_line`]), so a row the merge
+//! would quarantine is refused on arrival.
 
 use mbu_cpu::HwComponent;
 use mbu_gefin::campaign::{AdaptiveSpec, UnitSpec};
-use mbu_gefin::classify::ClassCounts;
 use mbu_gefin::exhaustive::{ExhaustiveSpec, StratifiedSpec};
-use mbu_gefin::integrity::GoldenFingerprint;
 use mbu_gefin::json::JsonError;
 use mbu_workloads::Workload;
 use std::fmt;
 use std::io::{BufRead, Write};
 
-use crate::store::{component_slug, ShardRow, ShardStratified};
+use crate::store::{component_slug, ShardRow};
 
 pub use mbu_gefin::json::Json;
 
@@ -117,9 +120,11 @@ pub fn read_frame(r: &mut dyn BufRead) -> Result<Json, ProtocolError> {
 
 /// The experiment parameters a worker needs to reconstruct the exact
 /// campaign a supervisor planned: everything in [`crate::Experiments`] that
-/// affects classification or checkpoint rows. The core configuration is
-/// not carried — both sides build the same default, and any drift is caught
-/// by golden-fingerprint verification at merge time.
+/// can change a classification or a checkpoint row. The core configuration
+/// is not carried — both sides build the same default, and any drift is
+/// caught by golden-fingerprint verification at merge time. Nor are the
+/// snapshot settings: they trade time for memory without changing a
+/// result, and workers always run the default snapshot path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpSpec {
     /// Runs per full campaign.
@@ -130,17 +135,10 @@ pub struct ExpSpec {
     pub threads: usize,
     /// Adaptive early stopping (whole-campaign units only).
     pub adaptive: Option<AdaptiveSpec>,
-    /// Checkpoint/restore fast-forward injection.
-    pub use_snapshots: bool,
-    /// Snapshot interval override, in cycles.
-    pub snapshot_interval: Option<u64>,
-    /// Snapshot memory cap, in MiB.
-    pub snapshot_mem_mb: Option<u64>,
     /// Equivalence-class dispatch: `Some` turns the assigned unit's
     /// `[start, end)` into a *class range* over the campaign's dense live
     /// order (or a whole-campaign stratified sampler) instead of a run
-    /// range. Absent on run-range units, so old and new peers interoperate
-    /// on the sampled path.
+    /// range. Absent on run-range units.
     pub equiv: Option<EquivSpec>,
 }
 
@@ -201,13 +199,6 @@ impl EquivSpec {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> Json {
-    match v {
-        Some(v) => Json::u64(v),
-        None => Json::Null,
-    }
-}
-
 fn get_u64(obj: &Json, key: &str) -> Result<u64, ProtocolError> {
     obj.get(key)
         .and_then(Json::as_u64)
@@ -238,16 +229,6 @@ fn get_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ProtocolError> {
         .ok_or_else(|| ProtocolError::Message(format!("missing or non-string field `{key}`")))
 }
 
-fn get_opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| ProtocolError::Message(format!("non-integer field `{key}`"))),
-    }
-}
-
 impl ExpSpec {
     /// Encodes to a JSON object.
     pub fn to_json(&self) -> Json {
@@ -265,9 +246,6 @@ impl ExpSpec {
             ("seed".into(), Json::u64(self.seed)),
             ("threads".into(), Json::usize(self.threads)),
             ("adaptive".into(), adaptive),
-            ("snapshots".into(), Json::Bool(self.use_snapshots)),
-            ("snap_interval".into(), opt_u64(self.snapshot_interval)),
-            ("snap_mem_mb".into(), opt_u64(self.snapshot_mem_mb)),
             (
                 "equiv".into(),
                 match self.equiv {
@@ -298,9 +276,6 @@ impl ExpSpec {
             seed: get_u64(v, "seed")?,
             threads: get_usize(v, "threads")?,
             adaptive,
-            use_snapshots: get_bool(v, "snapshots")?,
-            snapshot_interval: get_opt_u64(v, "snap_interval")?,
-            snapshot_mem_mb: get_opt_u64(v, "snap_mem_mb")?,
             equiv: match v.get("equiv") {
                 None | Some(Json::Null) => None,
                 Some(e) => Some(EquivSpec::from_json(e)?),
@@ -309,95 +284,14 @@ impl ExpSpec {
     }
 }
 
-fn row_to_json(r: &ShardRow) -> Json {
-    let mut fields = vec![
-        ("unit".into(), unit_to_json(&r.unit)),
-        ("seed".into(), Json::u64(r.seed)),
-        ("masked".into(), Json::u64(r.counts.masked)),
-        ("sdc".into(), Json::u64(r.counts.sdc)),
-        ("crash".into(), Json::u64(r.counts.crash)),
-        ("timeout".into(), Json::u64(r.counts.timeout)),
-        ("assert".into(), Json::u64(r.counts.assert_)),
-        ("cycles".into(), Json::u64(r.fault_free_cycles)),
-        ("instr".into(), Json::u64(r.fault_free_instructions)),
-        ("fp".into(), Json::Str(r.fingerprint.to_string())),
-    ];
-    if let Some(ex) = &r.exhaustive {
-        let mut ex_fields = vec![
-            ("masked".into(), Json::u64(ex.weighted.masked)),
-            ("sdc".into(), Json::u64(ex.weighted.sdc)),
-            ("crash".into(), Json::u64(ex.weighted.crash)),
-            ("timeout".into(), Json::u64(ex.weighted.timeout)),
-            ("assert".into(), Json::u64(ex.weighted.assert_)),
-            ("weight".into(), Json::u64(ex.weight_total)),
-            ("pruned".into(), Json::u64(ex.pruned)),
-        ];
-        if let Some(s) = &ex.stratified {
-            ex_fields.push(("margin_bits".into(), Json::u64(s.margin_bits)));
-            ex_fields.push(("simulated".into(), Json::u64(s.simulated)));
-        }
-        fields.push(("ex".into(), Json::Obj(ex_fields)));
-    }
-    Json::Obj(fields)
+/// Decodes the `row` field of a worker message: a checksummed shard line.
+fn decode_row(v: &Json) -> Result<ShardRow, ProtocolError> {
+    ShardRow::from_line(get_str(v, "row")?)
+        .map_err(|defect| ProtocolError::Message(format!("bad shard row: {defect}")))
 }
 
-fn row_from_json(v: &Json) -> Result<ShardRow, ProtocolError> {
-    let fp: GoldenFingerprint = get_str(v, "fp")?
-        .parse()
-        .map_err(|e| ProtocolError::Message(format!("bad fingerprint: {e}")))?;
-    let exhaustive = match v.get("ex") {
-        None | Some(Json::Null) => None,
-        Some(ex) => {
-            let stratified = match (
-                get_opt_u64(ex, "margin_bits")?,
-                get_opt_u64(ex, "simulated")?,
-            ) {
-                (None, None) => None,
-                (Some(margin_bits), Some(simulated)) => Some(ShardStratified {
-                    margin_bits,
-                    simulated,
-                }),
-                _ => {
-                    return Err(ProtocolError::Message(
-                        "stratified annotation needs both `margin_bits` and `simulated`".into(),
-                    ))
-                }
-            };
-            Some(crate::store::ShardExhaustive {
-                weighted: ClassCounts {
-                    masked: get_u64(ex, "masked")?,
-                    sdc: get_u64(ex, "sdc")?,
-                    crash: get_u64(ex, "crash")?,
-                    timeout: get_u64(ex, "timeout")?,
-                    assert_: get_u64(ex, "assert")?,
-                },
-                weight_total: get_u64(ex, "weight")?,
-                pruned: get_u64(ex, "pruned")?,
-                stratified,
-            })
-        }
-    };
-    Ok(ShardRow {
-        unit: unit_from_json(
-            v.get("unit")
-                .ok_or_else(|| ProtocolError::Message("missing `unit`".into()))?,
-        )?,
-        seed: get_u64(v, "seed")?,
-        counts: ClassCounts {
-            masked: get_u64(v, "masked")?,
-            sdc: get_u64(v, "sdc")?,
-            crash: get_u64(v, "crash")?,
-            timeout: get_u64(v, "timeout")?,
-            assert_: get_u64(v, "assert")?,
-        },
-        fault_free_cycles: get_u64(v, "cycles")?,
-        fault_free_instructions: get_u64(v, "instr")?,
-        fingerprint: fp,
-        exhaustive,
-    })
-}
-
-fn unit_to_json(u: &UnitSpec) -> Json {
+/// The JSON form of a unit: its campaign key and range.
+pub(crate) fn unit_to_json(u: &UnitSpec) -> Json {
     Json::Obj(vec![
         ("comp".into(), Json::Str(component_slug(u.component).into())),
         ("wl".into(), Json::Str(u.workload.name().into())),
@@ -501,14 +395,13 @@ pub enum ToSupervisor {
     Heartbeat {
         /// The unit being executed.
         unit_id: u64,
-        /// Runs of the unit completed so far (monotonic).
-        done: usize,
     },
     /// The unit completed and its row is durably in the worker's shard
-    /// store. The row rides along so a supervisor on the other end of a
-    /// TCP link (which cannot read the worker's local shard file) can
-    /// persist it into its own shard store; for stdio workers the file on
-    /// disk is the authoritative copy and this is a control-plane echo.
+    /// store. The row rides along, as its shard line, so a supervisor on
+    /// the other end of a TCP link (which cannot read the worker's local
+    /// shard file) can persist it into its own shard store; for stdio
+    /// workers the file on disk is the authoritative copy and this is a
+    /// control-plane echo.
     Done {
         /// The completed unit.
         unit_id: u64,
@@ -549,10 +442,9 @@ impl ToSupervisor {
                 }
                 Json::Obj(fields)
             }
-            ToSupervisor::Heartbeat { unit_id, done } => Json::Obj(vec![
+            ToSupervisor::Heartbeat { unit_id } => Json::Obj(vec![
                 ("t".into(), Json::Str("hb".into())),
                 ("id".into(), Json::u64(*unit_id)),
-                ("done".into(), Json::usize(*done)),
             ]),
             ToSupervisor::Done {
                 unit_id,
@@ -561,12 +453,12 @@ impl ToSupervisor {
             } => Json::Obj(vec![
                 ("t".into(), Json::Str("done".into())),
                 ("id".into(), Json::u64(*unit_id)),
-                ("row".into(), row_to_json(row)),
+                ("row".into(), Json::Str(row.to_line())),
                 ("anomalies".into(), Json::usize(*anomalies)),
             ]),
             ToSupervisor::Recovered { row } => Json::Obj(vec![
                 ("t".into(), Json::Str("recovered".into())),
-                ("row".into(), row_to_json(row)),
+                ("row".into(), Json::Str(row.to_line())),
             ]),
             ToSupervisor::Fail { unit_id, error } => Json::Obj(vec![
                 ("t".into(), Json::Str("fail".into())),
@@ -580,8 +472,9 @@ impl ToSupervisor {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Message`] on an unknown discriminator or a missing
-    /// field.
+    /// [`ProtocolError::Message`] on an unknown discriminator, a missing
+    /// field, or a shard row that fails its checksum or the shard parser's
+    /// checks.
     pub fn from_json(v: &Json) -> Result<Self, ProtocolError> {
         match get_str(v, "t")? {
             "hello" => Ok(ToSupervisor::Hello {
@@ -597,21 +490,14 @@ impl ToSupervisor {
             }),
             "hb" => Ok(ToSupervisor::Heartbeat {
                 unit_id: get_u64(v, "id")?,
-                done: get_usize(v, "done")?,
             }),
             "done" => Ok(ToSupervisor::Done {
                 unit_id: get_u64(v, "id")?,
-                row: row_from_json(
-                    v.get("row")
-                        .ok_or_else(|| ProtocolError::Message("missing `row`".into()))?,
-                )?,
+                row: decode_row(v)?,
                 anomalies: get_usize(v, "anomalies")?,
             }),
             "recovered" => Ok(ToSupervisor::Recovered {
-                row: row_from_json(
-                    v.get("row")
-                        .ok_or_else(|| ProtocolError::Message("missing `row`".into()))?,
-                )?,
+                row: decode_row(v)?,
             }),
             "fail" => Ok(ToSupervisor::Fail {
                 unit_id: get_u64(v, "id")?,
@@ -627,6 +513,9 @@ impl ToSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{seal, ShardExhaustive, ShardStratified};
+    use mbu_gefin::classify::ClassCounts;
+    use mbu_gefin::integrity::GoldenFingerprint;
     use std::io::BufReader;
 
     fn roundtrip_frame(json: &Json) -> Json {
@@ -708,9 +597,6 @@ mod tests {
                     target_margin: 0.0288,
                     ..AdaptiveSpec::paper()
                 }),
-                use_snapshots: true,
-                snapshot_interval: Some(5_000),
-                snapshot_mem_mb: Some(64),
                 equiv: None,
             },
         };
@@ -737,9 +623,6 @@ mod tests {
                     seed: 0x6EF1_2019,
                     threads: 1,
                     adaptive: None,
-                    use_snapshots: true,
-                    snapshot_interval: None,
-                    snapshot_mem_mb: None,
                     equiv: Some(EquivSpec {
                         exhaustive: ExhaustiveSpec {
                             rep_seed: 3,
@@ -767,7 +650,7 @@ mod tests {
         };
         row.unit.start = 0;
         row.unit.end = 1;
-        row.exhaustive = Some(crate::store::ShardExhaustive {
+        row.exhaustive = Some(ShardExhaustive {
             weighted: ClassCounts {
                 masked: 900,
                 sdc: 60,
@@ -789,27 +672,48 @@ mod tests {
         };
         let back = ToSupervisor::from_json(&roundtrip_frame(&msg.to_json())).unwrap();
         assert_eq!(back, msg);
-        // A half-present annotation is a typed message error.
-        let mut json = msg.to_json();
-        if let Json::Obj(fields) = &mut json {
-            for (k, v) in fields.iter_mut() {
-                if k == "row" {
-                    if let Json::Obj(row_fields) = v {
-                        for (rk, rv) in row_fields.iter_mut() {
-                            if rk == "ex" {
-                                if let Json::Obj(ex_fields) = rv {
-                                    ex_fields.retain(|(ek, _)| ek != "simulated");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        // A half-present annotation, however well sealed, is refused.
+        let line = row.to_line();
+        let (body, _) = line.rsplit_once(',').unwrap();
+        let (half, _) = body.rsplit_once(',').unwrap();
+        let m = refusal(seal(half));
+        assert!(m.contains("got 22"), "{m}");
+    }
+
+    /// A `done` frame carrying `line` as its row, decoded to the typed
+    /// message error it must be.
+    fn refusal(line: String) -> String {
+        let msg = Json::Obj(vec![
+            ("t".into(), Json::Str("done".into())),
+            ("id".into(), Json::u64(3)),
+            ("row".into(), Json::Str(line)),
+            ("anomalies".into(), Json::usize(0)),
+        ]);
+        match ToSupervisor::from_json(&roundtrip_frame(&msg)) {
+            Err(ProtocolError::Message(m)) => m,
+            other => panic!("expected a typed message error, got {other:?}"),
         }
-        assert!(matches!(
-            ToSupervisor::from_json(&json),
-            Err(ProtocolError::Message(_))
-        ));
+    }
+
+    #[test]
+    fn done_row_whose_counts_miss_its_range_is_refused() {
+        // Well sealed, but 76 classified runs for the 75 of [50, 125).
+        let mut row = sample_row();
+        row.counts.masked += 1;
+        let m = refusal(row.to_line());
+        assert!(
+            m.contains("counts sum to 76 but the range holds 75 runs"),
+            "{m}"
+        );
+    }
+
+    #[test]
+    fn done_row_with_a_corrupted_crc_is_refused() {
+        let line = sample_row().to_line();
+        let (body, crc) = line.rsplit_once(',').unwrap();
+        let crc = u32::from_str_radix(crc, 16).unwrap() ^ 1;
+        let m = refusal(format!("{body},{crc:08x}"));
+        assert!(m.contains("crc mismatch"), "{m}");
     }
 
     #[test]
@@ -822,9 +726,6 @@ mod tests {
                 seed: u64::MAX,
                 threads: 0,
                 adaptive: None,
-                use_snapshots: false,
-                snapshot_interval: None,
-                snapshot_mem_mb: None,
                 equiv: None,
             },
         };
@@ -847,10 +748,7 @@ mod tests {
                 pid: 1234,
                 worker_id: Some("rack7-worker-2".into()),
             },
-            ToSupervisor::Heartbeat {
-                unit_id: 9,
-                done: 55,
-            },
+            ToSupervisor::Heartbeat { unit_id: 9 },
             ToSupervisor::Done {
                 unit_id: 9,
                 row: sample_row(),
@@ -865,6 +763,9 @@ mod tests {
             let back = ToSupervisor::from_json(&roundtrip_frame(&msg.to_json())).unwrap();
             assert_eq!(back, msg);
         }
+        // On the wire a row is exactly its shard line.
+        let done = ToSupervisor::Recovered { row: sample_row() }.to_json();
+        assert_eq!(done.get("row"), Some(&Json::Str(sample_row().to_line())));
     }
 
     #[test]

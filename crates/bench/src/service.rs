@@ -50,10 +50,6 @@ pub struct ServeConfig {
     /// How long a SIGTERM'd daemon waits for in-flight sweeps to park as
     /// drained before giving up (`MBU_DRAIN_TIMEOUT_SECS`, default 60 s).
     pub drain_timeout: Duration,
-    /// Shared snapshot-memory budget in MiB, divided across concurrently
-    /// running jobs (`MBU_MEM_BUDGET_MB`, default none = each job keeps
-    /// its own `MBU_SNAPSHOT_MEM_MB`).
-    pub mem_budget_mb: Option<u64>,
     /// Terminal jobs whose `shards/` directories are retained; older ones
     /// are garbage-collected (`MBU_RETAIN_JOBS`, default none = keep all).
     /// Merged results and job records are never GC'd — only the shard
@@ -69,7 +65,6 @@ impl Default for ServeConfig {
             conn_max: 64,
             io_budget: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(60),
-            mem_budget_mb: None,
             retain_jobs: None,
         }
     }
@@ -77,8 +72,8 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Reads `MBU_HTTP_MAX_JOBS`, `MBU_HTTP_QUEUE`, `MBU_HTTP_CONN_MAX`,
-    /// `MBU_HTTP_TIMEOUT_SECS`, `MBU_DRAIN_TIMEOUT_SECS`,
-    /// `MBU_MEM_BUDGET_MB` and `MBU_RETAIN_JOBS`.
+    /// `MBU_HTTP_TIMEOUT_SECS`, `MBU_DRAIN_TIMEOUT_SECS` and
+    /// `MBU_RETAIN_JOBS`.
     ///
     /// # Errors
     ///
@@ -122,13 +117,6 @@ impl ServeConfig {
                 "must be an integer",
             )?);
         }
-        if let Some(v) = env_value("MBU_MEM_BUDGET_MB")? {
-            cfg.mem_budget_mb = Some(parse_env(
-                "MBU_MEM_BUDGET_MB",
-                &v,
-                "must be an integer (MiB)",
-            )?);
-        }
         if let Some(v) = env_value("MBU_RETAIN_JOBS")? {
             cfg.retain_jobs = Some(parse_env("MBU_RETAIN_JOBS", &v, "must be an integer")?);
         }
@@ -157,9 +145,6 @@ pub struct SweepBackend {
     /// Fabric knobs; `workers` is the *total* pool, divided fairly across
     /// concurrently running jobs.
     pub fabric: FabricConfig,
-    /// Shared snapshot-memory budget in MiB; divided across running jobs,
-    /// never raising a job's own tighter `MBU_SNAPSHOT_MEM_MB`.
-    pub mem_budget_mb: Option<u64>,
     active: AtomicUsize,
 }
 
@@ -169,16 +154,8 @@ impl SweepBackend {
         SweepBackend {
             base,
             fabric,
-            mem_budget_mb: None,
             active: AtomicUsize::new(0),
         }
-    }
-
-    /// Sets the shared snapshot-memory budget (see [`ServeConfig`]).
-    #[must_use]
-    pub fn with_mem_budget(mut self, budget: Option<u64>) -> SweepBackend {
-        self.mem_budget_mb = budget;
-        self
     }
 
     /// Rebuilds the experiment configuration from a canonical spec. The
@@ -416,7 +393,7 @@ impl JobBackend for SweepBackend {
     }
 
     fn execute(&self, ctx: &JobContext) -> JobOutcome {
-        let (mut exp, components, exhaustive) = match self.exp_from_spec(&ctx.spec) {
+        let (exp, components, exhaustive) = match self.exp_from_spec(&ctx.spec) {
             Ok(parsed) => parsed,
             Err(e) => return JobOutcome::Failed(e.message),
         };
@@ -426,12 +403,6 @@ impl JobBackend for SweepBackend {
         let _guard = ActiveGuard(&self.active);
         let mut fabric = self.fabric.clone();
         fabric.workers = (self.fabric.workers / active).max(1);
-        // Shared memory budget: each running job gets an equal share, and
-        // a job's own tighter MBU_SNAPSHOT_MEM_MB is never raised.
-        if let Some(budget) = self.mem_budget_mb {
-            let share = (budget / active as u64).max(1);
-            exp.snapshot_mem_mb = Some(exp.snapshot_mem_mb.map_or(share, |m| m.min(share)));
-        }
         let shard_dir = ctx.dir.join("shards");
         let out_csv = ctx.dir.join("measured.csv");
         let events_ctx = ctx.clone();
@@ -639,8 +610,7 @@ pub fn run_daemon(listen: &str, state_dir: &Path) -> Result<(), String> {
         fabric.workers,
         state_dir.display()
     );
-    let backend =
-        Arc::new(SweepBackend::new(exp, fabric.clone()).with_mem_budget(cfg.mem_budget_mb));
+    let backend = Arc::new(SweepBackend::new(exp, fabric.clone()));
     let manager = JobManager::new(state_dir, backend, cfg.max_jobs, cfg.queue)
         .map_err(|e| format!("state dir {}: {e}", state_dir.display()))?;
     if let Some(retain) = cfg.retain_jobs {
@@ -707,10 +677,6 @@ pub fn run_daemon(listen: &str, state_dir: &Path) -> Result<(), String> {
                 (
                     "drain_timeout_secs".into(),
                     Json::u64(cfg.drain_timeout.as_secs()),
-                ),
-                (
-                    "mem_budget_mb".into(),
-                    cfg.mem_budget_mb.map_or(Json::Null, Json::u64),
                 ),
                 (
                     "retain_jobs".into(),
@@ -828,13 +794,12 @@ mod tests {
         }
     }
 
-    const SERVE_VARS: [&str; 7] = [
+    const SERVE_VARS: [&str; 6] = [
         "MBU_HTTP_MAX_JOBS",
         "MBU_HTTP_QUEUE",
         "MBU_HTTP_CONN_MAX",
         "MBU_HTTP_TIMEOUT_SECS",
         "MBU_DRAIN_TIMEOUT_SECS",
-        "MBU_MEM_BUDGET_MB",
         "MBU_RETAIN_JOBS",
     ];
 
@@ -867,14 +832,12 @@ mod tests {
         std::env::set_var("MBU_HTTP_CONN_MAX", "9");
         std::env::set_var("MBU_HTTP_TIMEOUT_SECS", "7");
         std::env::set_var("MBU_DRAIN_TIMEOUT_SECS", "11");
-        std::env::set_var("MBU_MEM_BUDGET_MB", "512");
         std::env::set_var("MBU_RETAIN_JOBS", "4");
         let cfg = ServeConfig::from_env().unwrap();
         assert_eq!((cfg.max_jobs, cfg.queue), (3, 1));
         assert_eq!(cfg.conn_max, 9);
         assert_eq!(cfg.io_budget, Duration::from_secs(7));
         assert_eq!(cfg.drain_timeout, Duration::from_secs(11));
-        assert_eq!(cfg.mem_budget_mb, Some(512));
         assert_eq!(cfg.retain_jobs, Some(4));
         for var in SERVE_VARS {
             std::env::remove_var(var);

@@ -61,9 +61,6 @@ pub(crate) enum UnitSpace {
 /// A unit's run hook, fired once per injection or class simulation.
 pub(crate) type RunHook = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// The snapshot knobs golden artifacts depend on.
-type SnapKey = (bool, Option<u64>, Option<u64>);
-
 /// A memoized build: a failure is kept too, so it costs one attempt.
 type Memo<T> = Result<Arc<T>, CampaignError>;
 
@@ -73,8 +70,8 @@ type Memo<T> = Result<Arc<T>, CampaignError>;
 /// campaign reuses them.
 #[derive(Default)]
 pub(crate) struct UnitCache {
-    artifacts: BTreeMap<(Workload, SnapKey), Memo<GoldenArtifacts>>,
-    plans: BTreeMap<(HwComponent, Workload, ExhaustiveSpec, SnapKey), Memo<ExhaustivePlan>>,
+    artifacts: BTreeMap<Workload, Memo<GoldenArtifacts>>,
+    plans: BTreeMap<(HwComponent, Workload, ExhaustiveSpec), Memo<ExhaustivePlan>>,
 }
 
 impl FaultSource {
@@ -249,13 +246,8 @@ impl UnitCache {
         exp: &Experiments,
         workload: Workload,
     ) -> Result<Arc<GoldenArtifacts>, CampaignError> {
-        let snap = (
-            exp.use_snapshots,
-            exp.snapshot_interval,
-            exp.snapshot_mem_mb,
-        );
         self.artifacts
-            .entry((workload, snap))
+            .entry(workload)
             .or_insert_with(|| exp.golden_artifacts(workload).map(Arc::new))
             .clone()
     }
@@ -267,13 +259,8 @@ impl UnitCache {
         spec: ExhaustiveSpec,
         hook: &RunHook,
     ) -> Result<Arc<ExhaustivePlan>, CampaignError> {
-        let snap = (
-            exp.use_snapshots,
-            exp.snapshot_interval,
-            exp.snapshot_mem_mb,
-        );
         self.plans
-            .entry((unit.component, unit.workload, spec, snap))
+            .entry((unit.component, unit.workload, spec))
             .or_insert_with(|| {
                 let hook = Arc::clone(hook);
                 let cfg = exp

@@ -115,13 +115,6 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The version line leading every v2 store file.
-pub const STORE_VERSION_LINE: &str = "#mbu-results v2";
-
-/// The fixed CSV header (v2: margin, fingerprint and CRC columns).
-pub const CSV_HEADER: &str =
-    "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions,margin,fingerprint,crc32";
-
 /// The pre-integrity (v1) header, recognised by the migration shim.
 pub const LEGACY_CSV_HEADER: &str =
     "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions";
@@ -129,9 +122,9 @@ pub const LEGACY_CSV_HEADER: &str =
 /// Which on-disk format a file was parsed as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreVersion {
-    /// Current: version line, CRC-checksummed rows, fingerprint + margin.
-    V2,
-    /// Pre-integrity files: bare 10-field rows, no checksums.
+    /// Current: version line, header, CRC-checksummed rows.
+    Checksummed,
+    /// Pre-integrity result files: bare 10-field rows, no checksums.
     Legacy,
 }
 
@@ -182,19 +175,39 @@ pub struct QuarantinedRow {
 pub struct LoadAudit {
     /// The format the file was parsed as.
     pub version: StoreVersion,
-    /// Rows that loaded cleanly (before last-row-wins dedup).
+    /// Rows that loaded cleanly (before any last-row-wins dedup).
     pub rows_loaded: usize,
-    /// Rows set aside as defective.
+    /// Rows set aside as defective, in file order.
     pub quarantined: Vec<QuarantinedRow>,
 }
 
 impl LoadAudit {
+    /// The audit of an empty or missing file.
     fn empty() -> Self {
         Self {
-            version: StoreVersion::V2,
+            version: StoreVersion::Checksummed,
             rows_loaded: 0,
             quarantined: Vec::new(),
         }
+    }
+
+    /// The first defect as a typed error: the strict view of a file,
+    /// which refuses what lossy loading would quarantine.
+    fn first_defect(&self) -> Result<(), StoreError> {
+        let Some(q) = self.quarantined.first() else {
+            return Ok(());
+        };
+        Err(match &q.defect {
+            RowDefect::Syntax { message } => StoreError::Syntax {
+                line: q.line,
+                message: message.clone(),
+            },
+            RowDefect::CrcMismatch { stored, computed } => StoreError::CrcMismatch {
+                line: q.line,
+                stored: *stored,
+                computed: *computed,
+            },
+        })
     }
 }
 
@@ -203,6 +216,169 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
     let mut s = path.as_os_str().to_owned();
     s.push(".quarantine");
     PathBuf::from(s)
+}
+
+/// A row parser over a body's comma-separated fields.
+type LegacyParser<R> = fn(&[&str]) -> Result<R, String>;
+
+/// One framed-CSV file format, the layer under both [`ResultStore`] and
+/// [`ShardStore`]: a version line, a header, and rows that each end in the
+/// CRC-32 of their body.
+trait Framed: Default {
+    /// One parsed row.
+    type Row;
+    /// The version line leading every file.
+    const VERSION_LINE: &'static str;
+    /// The column header (line 2).
+    const HEADER: &'static str;
+    /// The row parser of the format's pre-integrity predecessor (a
+    /// header, then rows without checksums), if it has one.
+    const LEGACY: Option<LegacyParser<Self::Row>> = None;
+    /// Parses a row body split at its commas; `Err` is a human-readable
+    /// defect message.
+    fn parse_body(fields: &[&str]) -> Result<Self::Row, String>;
+    /// Adds a loaded row, in file order.
+    fn push_row(&mut self, row: Self::Row);
+    /// The bodies of the rows a rewritten file holds, in order.
+    fn bodies(&self) -> Vec<String>;
+}
+
+/// `body` sealed with its CRC-32: one framed row, without a newline.
+pub(crate) fn seal(body: &str) -> String {
+    format!("{body},{:08x}", crc32(body.as_bytes()))
+}
+
+/// Checks a framed row's CRC and parses its body.
+fn parse_line<F: Framed>(line: &str) -> Result<F::Row, RowDefect> {
+    let syntax = |message: String| RowDefect::Syntax { message };
+    let (body, crc_hex) = line
+        .rsplit_once(',')
+        .ok_or_else(|| syntax("row has no CRC field".into()))?;
+    if crc_hex.len() != 8 {
+        return Err(syntax(format!("CRC {crc_hex:?} is not 8 hex digits")));
+    }
+    let stored =
+        u32::from_str_radix(crc_hex, 16).map_err(|e| syntax(format!("{e} (CRC {crc_hex:?})")))?;
+    let computed = crc32(body.as_bytes());
+    if stored != computed {
+        return Err(RowDefect::CrcMismatch { stored, computed });
+    }
+    let fields: Vec<&str> = body.split(',').collect();
+    F::parse_body(&fields).map_err(syntax)
+}
+
+/// A whole framed file: version line, header and sealed rows.
+fn render<F: Framed>(file: &F) -> String {
+    let mut out = format!("{}\n{}\n", F::VERSION_LINE, F::HEADER);
+    for body in file.bodies() {
+        out.push_str(&seal(&body));
+        out.push('\n');
+    }
+    out
+}
+
+/// The format a file's first line declares; with a foreign version line
+/// no line can be trusted, so nothing is guessed.
+fn detect<F: Framed>(csv: &str) -> Result<StoreVersion, StoreError> {
+    match csv.lines().next() {
+        None => Ok(StoreVersion::Checksummed),
+        Some(first) if first.trim() == F::VERSION_LINE => Ok(StoreVersion::Checksummed),
+        Some(first) if F::LEGACY.is_some() && !first.trim_start().starts_with('#') => {
+            Ok(StoreVersion::Legacy)
+        }
+        Some(first) => Err(StoreError::UnsupportedVersion {
+            found: first.to_string(),
+        }),
+    }
+}
+
+/// Parses a framed file, collecting defective rows as [`QuarantinedRow`]s
+/// instead of failing.
+fn parse_lossy<F: Framed>(csv: &str) -> Result<(F, LoadAudit), StoreError> {
+    let version = detect::<F>(csv)?;
+    let legacy = F::LEGACY.filter(|_| version == StoreVersion::Legacy);
+    let mut file = F::default();
+    let mut audit = LoadAudit {
+        version,
+        ..LoadAudit::empty()
+    };
+    // Line 1 is the version line (a legacy file's header); line 2 of a
+    // checksummed file is its header. Neither is a row.
+    let skip = if legacy.is_some() { 1 } else { 2 };
+    for (lineno, line) in csv.lines().enumerate().skip(skip) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let parsed = match legacy {
+            Some(parse) => parse(&line.split(',').collect::<Vec<_>>())
+                .map_err(|message| RowDefect::Syntax { message }),
+            None => parse_line::<F>(line),
+        };
+        match parsed {
+            Ok(row) => {
+                file.push_row(row);
+                audit.rows_loaded += 1;
+            }
+            Err(defect) => audit.quarantined.push(QuarantinedRow {
+                line: lineno + 1,
+                raw: line.to_string(),
+                defect,
+            }),
+        }
+    }
+    Ok((file, audit))
+}
+
+/// Crash-safe load: defective rows go to the `.quarantine` sidecar (line
+/// number, typed reason, raw text), and a file that had any, or was legacy,
+/// is atomically rewritten clean. A missing file is empty.
+fn recover<F: Framed>(io: &dyn StoreIo, path: &Path) -> Result<(F, LoadAudit), StoreError> {
+    let text = match io.read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Ok((F::default(), LoadAudit::empty()))
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let (file, audit) = parse_lossy::<F>(&text)?;
+    if !audit.quarantined.is_empty() {
+        let sidecar: String = audit
+            .quarantined
+            .iter()
+            .map(|q| format!("line {}: {}: {}\n", q.line, q.defect, q.raw))
+            .collect();
+        io.append(&quarantine_path(path), &sidecar)?;
+    }
+    if !audit.quarantined.is_empty() || audit.version == StoreVersion::Legacy {
+        io.write_atomic(path, &render(&file))?;
+    }
+    Ok((file, audit))
+}
+
+/// Appends the sealed row `line`, creating the file with its version line
+/// and header if absent. A legacy file is first upgraded in place, so a
+/// file never mixes formats; one with a defective row fails instead.
+fn append<F: Framed>(io: &dyn StoreIo, path: &Path, line: &str) -> Result<(), StoreError> {
+    if io.len(path)? == 0 {
+        // One append call for version + header + row: a single
+        // crash-consistency unit, so no observable state has the header
+        // without being a valid (empty-row-set) file.
+        io.append(
+            path,
+            &format!("{}\n{}\n{line}\n", F::VERSION_LINE, F::HEADER),
+        )?;
+        return Ok(());
+    }
+    if F::LEGACY.is_some() {
+        let text = io.read_to_string(path)?;
+        if detect::<F>(&text)? == StoreVersion::Legacy {
+            let (file, audit) = parse_lossy::<F>(&text)?;
+            audit.first_defect()?;
+            io.write_atomic(path, &render(&file))?;
+        }
+    }
+    io.append(path, &format!("{line}\n"))?;
+    Ok(())
 }
 
 /// The exhaustive-campaign annotation of a result row: how the row's
@@ -238,10 +414,7 @@ impl ResultStore {
     /// results with their fingerprint via
     /// [`ResultStore::insert_with_fingerprint`].
     pub fn insert(&mut self, r: CampaignResult) {
-        let key = (r.component, r.workload, r.faults);
-        self.fingerprints.remove(&key);
-        self.exhaustive_meta.remove(&key);
-        self.entries.insert(key, r);
+        self.insert_flavored(r, None, None);
     }
 
     /// Inserts a campaign result stamped with the golden-run fingerprint it
@@ -252,17 +425,7 @@ impl ResultStore {
         r: CampaignResult,
         fingerprint: Option<GoldenFingerprint>,
     ) {
-        let key = (r.component, r.workload, r.faults);
-        match fingerprint {
-            Some(fp) => {
-                self.fingerprints.insert(key, fp);
-            }
-            None => {
-                self.fingerprints.remove(&key);
-            }
-        }
-        self.exhaustive_meta.remove(&key);
-        self.entries.insert(key, r);
+        self.insert_flavored(r, fingerprint, None);
     }
 
     /// [`ResultStore::insert_with_fingerprint`] for either flavor: with
@@ -275,10 +438,15 @@ impl ResultStore {
         meta: Option<ExhaustiveMeta>,
     ) {
         let key = (r.component, r.workload, r.faults);
-        self.insert_with_fingerprint(r, fingerprint);
-        if let Some(meta) = meta {
-            self.exhaustive_meta.insert(key, meta);
-        }
+        match fingerprint {
+            Some(fp) => self.fingerprints.insert(key, fp),
+            None => self.fingerprints.remove(&key),
+        };
+        match meta {
+            Some(meta) => self.exhaustive_meta.insert(key, meta),
+            None => self.exhaustive_meta.remove(&key),
+        };
+        self.entries.insert(key, r);
     }
 
     /// The exhaustive annotation of a stored result, if it carries one.
@@ -341,14 +509,13 @@ impl ResultStore {
         self.entries.len() == 6 * 15 * 3
     }
 
-    /// Renders one result as a v2 CSV row (no trailing newline): 12 body
-    /// fields (14 with an exhaustive annotation) plus the CRC-32 of the
-    /// body text.
+    /// Renders one result's v2 row body: 12 fields, 14 with an exhaustive
+    /// annotation (the CRC-32 is sealed on by the framing layer).
     ///
     /// The margin is serialized with Rust's shortest-roundtrip float
     /// formatting, so a saved and reloaded store is *bit-identical* — the
     /// chaos harness depends on this.
-    fn csv_row(
+    fn body(
         r: &CampaignResult,
         fingerprint: Option<GoldenFingerprint>,
         meta: Option<ExhaustiveMeta>,
@@ -379,42 +546,19 @@ impl ResultStore {
         if let Some(meta) = meta {
             body.push_str(&format!(",{},{}", meta.classes, meta.weight));
         }
-        let crc = crc32(body.as_bytes());
-        format!("{body},{crc:08x}")
+        body
     }
 
     /// Serializes to v2 CSV (version line, header, checksummed rows).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(STORE_VERSION_LINE);
-        out.push('\n');
-        out.push_str(CSV_HEADER);
-        out.push('\n');
-        for (key, r) in &self.entries {
-            out.push_str(&Self::csv_row(
-                r,
-                self.fingerprints.get(key).copied(),
-                self.exhaustive_meta.get(key).copied(),
-            ));
-            out.push('\n');
-        }
-        out
+        render(self)
     }
 
     /// Parses one row body (v2: 12 fields, 14 with the exhaustive
     /// annotation; legacy: 10 fields) into a result, optional fingerprint
     /// and optional exhaustive meta. `Err` is a human-readable defect
     /// message.
-    fn parse_body(
-        fields: &[&str],
-        legacy: bool,
-    ) -> Result<
-        (
-            CampaignResult,
-            Option<GoldenFingerprint>,
-            Option<ExhaustiveMeta>,
-        ),
-        String,
-    > {
+    fn parse_fields(fields: &[&str], legacy: bool) -> Result<ResultRow, String> {
         if legacy && fields.len() != 10 {
             return Err(format!("expected 10 fields, got {}", fields.len()));
         }
@@ -501,51 +645,6 @@ impl ResultStore {
         Ok((result, fingerprint, meta))
     }
 
-    /// Checks a v2 row's CRC and parses it.
-    #[allow(clippy::type_complexity)]
-    fn parse_v2_row(
-        line: &str,
-    ) -> Result<
-        (
-            CampaignResult,
-            Option<GoldenFingerprint>,
-            Option<ExhaustiveMeta>,
-        ),
-        RowDefect,
-    > {
-        let syntax = |message: String| RowDefect::Syntax { message };
-        let (body, crc_hex) = line
-            .rsplit_once(',')
-            .ok_or_else(|| syntax("row has no CRC field".into()))?;
-        if crc_hex.len() != 8 {
-            return Err(syntax(format!("CRC {crc_hex:?} is not 8 hex digits")));
-        }
-        let stored = u32::from_str_radix(crc_hex, 16)
-            .map_err(|e| syntax(format!("{e} (CRC {crc_hex:?})")))?;
-        let computed = crc32(body.as_bytes());
-        if stored != computed {
-            return Err(RowDefect::CrcMismatch { stored, computed });
-        }
-        let fields: Vec<&str> = body.split(',').collect();
-        Self::parse_body(&fields, false).map_err(syntax)
-    }
-
-    /// Detects the file's format version. `Err` carries the offending
-    /// version line.
-    fn detect_version(csv: &str) -> Result<StoreVersion, String> {
-        match csv.lines().next() {
-            None => Ok(StoreVersion::V2),
-            Some(first) if first.trim_start().starts_with('#') => {
-                if first.trim() == STORE_VERSION_LINE {
-                    Ok(StoreVersion::V2)
-                } else {
-                    Err(first.to_string())
-                }
-            }
-            Some(_) => Ok(StoreVersion::Legacy),
-        }
-    }
-
     /// Parses store CSV, collecting defective rows instead of failing: each
     /// bad row becomes a [`QuarantinedRow`] and the survivors load with
     /// last-row-wins semantics. This is the resume path — a checkpoint with
@@ -556,44 +655,7 @@ impl ResultStore {
     /// Only [`StoreError::UnsupportedVersion`] — an unknown format version
     /// means *no* line can be trusted, so nothing is guessed.
     pub fn from_csv_lossy(csv: &str) -> Result<(Self, LoadAudit), StoreError> {
-        let version =
-            Self::detect_version(csv).map_err(|found| StoreError::UnsupportedVersion { found })?;
-        let mut store = Self::new();
-        let mut audit = LoadAudit {
-            version,
-            rows_loaded: 0,
-            quarantined: Vec::new(),
-        };
-        // Line 1 is the version line (v2) or the header (legacy); line 2 of
-        // a v2 file is the header. Both are skipped, not parsed as rows.
-        let skip = match version {
-            StoreVersion::V2 => 2,
-            StoreVersion::Legacy => 1,
-        };
-        for (lineno, line) in csv.lines().enumerate().skip(skip) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = match version {
-                StoreVersion::V2 => Self::parse_v2_row(line),
-                StoreVersion::Legacy => {
-                    let fields: Vec<&str> = line.split(',').collect();
-                    Self::parse_body(&fields, true).map_err(|message| RowDefect::Syntax { message })
-                }
-            };
-            match parsed {
-                Ok((result, fingerprint, meta)) => {
-                    store.insert_flavored(result, fingerprint, meta);
-                    audit.rows_loaded += 1;
-                }
-                Err(defect) => audit.quarantined.push(QuarantinedRow {
-                    line: lineno + 1,
-                    raw: line.to_string(),
-                    defect,
-                }),
-            }
-        }
-        Ok((store, audit))
+        parse_lossy(csv)
     }
 
     /// Parses the CSV produced by [`ResultStore::to_csv`] /
@@ -610,19 +672,7 @@ impl ResultStore {
     /// whatever the input.
     pub fn from_csv(csv: &str) -> Result<Self, StoreError> {
         let (store, audit) = Self::from_csv_lossy(csv)?;
-        if let Some(q) = audit.quarantined.first() {
-            return Err(match &q.defect {
-                RowDefect::Syntax { message } => StoreError::Syntax {
-                    line: q.line,
-                    message: message.clone(),
-                },
-                RowDefect::CrcMismatch { stored, computed } => StoreError::CrcMismatch {
-                    line: q.line,
-                    stored: *stored,
-                    computed: *computed,
-                },
-            });
-        }
+        audit.first_defect()?;
         Ok(store)
     }
 
@@ -692,26 +742,7 @@ impl ResultStore {
         fingerprint: Option<GoldenFingerprint>,
         meta: Option<ExhaustiveMeta>,
     ) -> Result<(), StoreError> {
-        let row = Self::csv_row(r, fingerprint, meta);
-        if io.len(path)? == 0 {
-            // One append call for version + header + row: a single
-            // crash-consistency unit, so no observable state has the header
-            // without being a valid (empty-row-set) v2 file.
-            io.append(
-                path,
-                &format!("{STORE_VERSION_LINE}\n{CSV_HEADER}\n{row}\n"),
-            )?;
-            return Ok(());
-        }
-        let text = io.read_to_string(path)?;
-        if Self::detect_version(&text).map_err(|found| StoreError::UnsupportedVersion { found })?
-            == StoreVersion::Legacy
-        {
-            let store = Self::from_csv(&text)?;
-            io.write_atomic(path, &store.to_csv())?;
-        }
-        io.append(path, &format!("{row}\n"))?;
-        Ok(())
+        append::<Self>(io, path, &seal(&Self::body(r, fingerprint, meta)))
     }
 
     /// Loads from a file, strictly: any defective row is an error.
@@ -744,37 +775,48 @@ impl ResultStore {
     ///
     /// Propagates I/O errors and [`StoreError::UnsupportedVersion`].
     pub fn recover_with(io: &dyn StoreIo, path: &Path) -> Result<(Self, LoadAudit), StoreError> {
-        let text = match io.read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Self::new(), LoadAudit::empty()))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (store, audit) = Self::from_csv_lossy(&text)?;
-        if !audit.quarantined.is_empty() {
-            let mut sidecar = String::new();
-            for q in &audit.quarantined {
-                sidecar.push_str(&format!("line {}: {}: {}\n", q.line, q.defect, q.raw));
-            }
-            io.append(&quarantine_path(path), &sidecar)?;
-        }
-        if !audit.quarantined.is_empty() || audit.version == StoreVersion::Legacy {
-            store.save_with(io, path)?;
-        }
-        Ok((store, audit))
+        recover(io, path)
     }
 }
 
-/// The version line of a worker shard store.
-pub const SHARD_VERSION_LINE: &str = "#mbu-shard v1";
+/// A parsed result row: the campaign, the golden-run fingerprint it was
+/// measured under, and its exhaustive annotation.
+type ResultRow = (
+    CampaignResult,
+    Option<GoldenFingerprint>,
+    Option<ExhaustiveMeta>,
+);
 
-/// The fixed CSV header of a worker shard store. Exhaustive-flavor rows
-/// append seven more columns (`w_masked..w_assert,weight,pruned`) between
-/// `fingerprint` and `crc`, and whole-campaign stratified rows two more
-/// (`margin_bits,simulated`); the parser dispatches on field count.
-pub const SHARD_CSV_HEADER: &str = "component,workload,faults,start,end,seed,masked,sdc,crash,\
-                                    timeout,assert,cycles,instructions,fingerprint,crc";
+impl Framed for ResultStore {
+    type Row = ResultRow;
+    const VERSION_LINE: &'static str = "#mbu-results v2";
+    /// v2: margin, fingerprint and CRC columns.
+    const HEADER: &'static str =
+        "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions,\
+         margin,fingerprint,crc32";
+    const LEGACY: Option<LegacyParser<ResultRow>> = Some(|fields| Self::parse_fields(fields, true));
+
+    fn parse_body(fields: &[&str]) -> Result<ResultRow, String> {
+        Self::parse_fields(fields, false)
+    }
+
+    fn push_row(&mut self, (result, fingerprint, meta): ResultRow) {
+        self.insert_flavored(result, fingerprint, meta);
+    }
+
+    fn bodies(&self) -> Vec<String> {
+        self.entries
+            .iter()
+            .map(|(key, r)| {
+                Self::body(
+                    r,
+                    self.fingerprints.get(key).copied(),
+                    self.exhaustive_meta.get(key).copied(),
+                )
+            })
+            .collect()
+    }
+}
 
 /// The stratified-sampler annotation of an exhaustive-flavor [`ShardRow`]:
 /// present only on whole-campaign rows produced by the class-weighted
@@ -843,34 +885,58 @@ pub struct ShardRow {
 }
 
 impl ShardRow {
-    /// The dedup key the merge uses: identical (unit, range, seed) rows
-    /// are the same work executed more than once.
-    pub fn dedup_key(&self) -> (Key, usize, usize, u64) {
-        (
-            (self.unit.component, self.unit.workload, self.unit.faults),
+    /// The row as its checksummed shard line (no newline) — its one
+    /// encoding, on disk and on the worker wire.
+    pub fn to_line(&self) -> String {
+        seal(&self.body())
+    }
+
+    /// Checks and decodes a checksummed shard line: the parser shard loads
+    /// and the supervisor's wire decoder share.
+    ///
+    /// # Errors
+    ///
+    /// The [`RowDefect`] that would quarantine the line on load.
+    pub fn from_line(line: &str) -> Result<Self, RowDefect> {
+        parse_line::<ShardStore>(line)
+    }
+
+    /// The row body: 14 fields (21 for exhaustive-flavor rows, 23 for
+    /// stratified ones), without the CRC-32.
+    fn body(&self) -> String {
+        let mut body = format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            component_slug(self.unit.component),
+            self.unit.workload.name(),
+            self.unit.faults,
             self.unit.start,
             self.unit.end,
             self.seed,
-        )
-    }
-}
-
-/// What a lossy shard-store load found.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardLoadAudit {
-    /// Intact rows loaded.
-    pub rows_loaded: usize,
-    /// Defective rows, in file order.
-    pub quarantined: Vec<QuarantinedRow>,
-}
-
-impl ShardLoadAudit {
-    /// The audit of an empty / missing file.
-    pub fn empty() -> Self {
-        Self {
-            rows_loaded: 0,
-            quarantined: Vec::new(),
+            self.counts.masked,
+            self.counts.sdc,
+            self.counts.crash,
+            self.counts.timeout,
+            self.counts.assert_,
+            self.fault_free_cycles,
+            self.fault_free_instructions,
+            self.fingerprint,
+        );
+        if let Some(ex) = &self.exhaustive {
+            body.push_str(&format!(
+                ",{},{},{},{},{},{},{}",
+                ex.weighted.masked,
+                ex.weighted.sdc,
+                ex.weighted.crash,
+                ex.weighted.timeout,
+                ex.weighted.assert_,
+                ex.weight_total,
+                ex.pruned,
+            ));
+            if let Some(s) = &ex.stratified {
+                body.push_str(&format!(",{},{}", s.margin_bits, s.simulated));
+            }
         }
+        body
     }
 }
 
@@ -910,100 +976,86 @@ impl ShardStore {
         &self.rows
     }
 
-    /// Renders one row as CSV (no trailing newline): 14 body fields (21
-    /// for exhaustive-flavor rows, 23 for stratified ones) plus the CRC-32
-    /// of the body text.
-    fn csv_row(r: &ShardRow) -> String {
-        let mut body = format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            component_slug(r.unit.component),
-            r.unit.workload.name(),
-            r.unit.faults,
-            r.unit.start,
-            r.unit.end,
-            r.seed,
-            r.counts.masked,
-            r.counts.sdc,
-            r.counts.crash,
-            r.counts.timeout,
-            r.counts.assert_,
-            r.fault_free_cycles,
-            r.fault_free_instructions,
-            r.fingerprint,
-        );
-        if let Some(ex) = &r.exhaustive {
-            body.push_str(&format!(
-                ",{},{},{},{},{},{},{}",
-                ex.weighted.masked,
-                ex.weighted.sdc,
-                ex.weighted.crash,
-                ex.weighted.timeout,
-                ex.weighted.assert_,
-                ex.weight_total,
-                ex.pruned,
-            ));
-            if let Some(s) = &ex.stratified {
-                body.push_str(&format!(",{},{}", s.margin_bits, s.simulated));
-            }
-        }
-        let crc = crc32(body.as_bytes());
-        format!("{body},{crc:08x}")
-    }
-
     /// Serializes to shard CSV (version line, header, checksummed rows).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(SHARD_VERSION_LINE);
-        out.push('\n');
-        out.push_str(SHARD_CSV_HEADER);
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&Self::csv_row(r));
-            out.push('\n');
-        }
-        out
+        render(self)
     }
 
-    /// Checks a row's CRC and parses it.
-    fn parse_row(line: &str) -> Result<ShardRow, RowDefect> {
-        let syntax = |message: String| RowDefect::Syntax { message };
-        let (body, crc_hex) = line
-            .rsplit_once(',')
-            .ok_or_else(|| syntax("row has no CRC field".into()))?;
-        if crc_hex.len() != 8 {
-            return Err(syntax(format!("CRC {crc_hex:?} is not 8 hex digits")));
-        }
-        let stored = u32::from_str_radix(crc_hex, 16)
-            .map_err(|e| syntax(format!("{e} (CRC {crc_hex:?})")))?;
-        let computed = crc32(body.as_bytes());
-        if stored != computed {
-            return Err(RowDefect::CrcMismatch { stored, computed });
-        }
-        let fields: Vec<&str> = body.split(',').collect();
+    /// Parses shard CSV, quarantining defective rows instead of failing —
+    /// the merge path: a shard with a torn final line (its worker was
+    /// killed mid-append) yields every intact unit.
+    ///
+    /// # Errors
+    ///
+    /// Only [`StoreError::UnsupportedVersion`]: a file that does not open
+    /// with the shard version line is not a shard store, and none of its
+    /// lines can be trusted as rows.
+    pub fn from_csv_lossy(csv: &str) -> Result<(Self, LoadAudit), StoreError> {
+        parse_lossy(csv)
+    }
+
+    /// Appends one completed unit to the shard file (creating it, with
+    /// version line and header, if absent), synced to stable storage
+    /// before returning — the worker's durability point: a unit is only
+    /// reported `done` after this call succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn append_row_with(
+        io: &dyn StoreIo,
+        path: &Path,
+        row: &ShardRow,
+    ) -> Result<(), StoreError> {
+        append::<Self>(io, path, &row.to_line())
+    }
+
+    /// Crash-safe load: defective rows are moved to a `<file>.quarantine`
+    /// sidecar and the survivors returned; when anything was quarantined
+    /// the file is atomically rewritten clean. A missing file yields an
+    /// empty store.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors and [`StoreError::UnsupportedVersion`].
+    pub fn recover_with(io: &dyn StoreIo, path: &Path) -> Result<(Self, LoadAudit), StoreError> {
+        recover(io, path)
+    }
+}
+
+impl Framed for ShardStore {
+    type Row = ShardRow;
+    const VERSION_LINE: &'static str = "#mbu-shard v1";
+    /// Exhaustive-flavor rows append seven more columns
+    /// (`w_masked..w_assert,weight,pruned`) between `fingerprint` and
+    /// `crc`, and whole-campaign stratified rows two more
+    /// (`margin_bits,simulated`); the parser dispatches on field count.
+    const HEADER: &'static str = "component,workload,faults,start,end,seed,masked,sdc,crash,\
+                                  timeout,assert,cycles,instructions,fingerprint,crc";
+
+    fn parse_body(fields: &[&str]) -> Result<ShardRow, String> {
         if fields.len() != 14 && fields.len() != 21 && fields.len() != 23 {
-            return Err(syntax(format!(
+            return Err(format!(
                 "expected 14 (sampled), 21 (exhaustive) or 23 (stratified) fields, got {}",
                 fields.len()
-            )));
+            ));
         }
-        let parse = |s: &str| -> Result<u64, RowDefect> {
-            s.parse().map_err(|e| syntax(format!("{e} (field {s:?})")))
+        let parse = |s: &str| -> Result<u64, String> {
+            s.parse().map_err(|e| format!("{e} (field {s:?})"))
         };
         let fp = fields[13];
         if fp.len() != 16 {
-            return Err(syntax(format!("fingerprint {fp:?} is not 16 hex digits")));
+            return Err(format!("fingerprint {fp:?} is not 16 hex digits"));
         }
         let unit = UnitSpec {
-            component: fields[0].parse().map_err(|e| syntax(format!("{e}")))?,
-            workload: fields[1].parse().map_err(|e| syntax(format!("{e}")))?,
+            component: fields[0].parse().map_err(|e| format!("{e}"))?,
+            workload: fields[1].parse().map_err(|e| format!("{e}"))?,
             faults: parse(fields[2])? as usize,
             start: parse(fields[3])? as usize,
             end: parse(fields[4])? as usize,
         };
         if unit.is_empty() {
-            return Err(syntax(format!(
-                "empty run-range [{}..{})",
-                unit.start, unit.end
-            )));
+            return Err(format!("empty run-range [{}..{})", unit.start, unit.end));
         }
         let counts = ClassCounts {
             masked: parse(fields[6])?,
@@ -1013,11 +1065,11 @@ impl ShardStore {
             assert_: parse(fields[10])?,
         };
         if counts.total() != unit.len() as u64 {
-            return Err(syntax(format!(
+            return Err(format!(
                 "counts sum to {} but the range holds {} runs",
                 counts.total(),
                 unit.len()
-            )));
+            ));
         }
         let exhaustive = if fields.len() >= 21 {
             let stratified = if fields.len() == 23 {
@@ -1027,17 +1079,17 @@ impl ShardStore {
                 };
                 let margin = s.margin();
                 if !margin.is_finite() || !(0.0..=1.0).contains(&margin) {
-                    return Err(syntax(format!(
+                    return Err(format!(
                         "stratified margin bits {:#x} decode to {margin}, not a fraction",
                         s.margin_bits
-                    )));
+                    ));
                 }
                 // A stratified row is whole-campaign by construction.
                 if (unit.start, unit.end) != (0, 1) {
-                    return Err(syntax(format!(
+                    return Err(format!(
                         "stratified rows cover the whole campaign, not [{}..{})",
                         unit.start, unit.end
-                    )));
+                    ));
                 }
                 Some(s)
             } else {
@@ -1061,19 +1113,19 @@ impl ShardStore {
             // so only the population bound applies (its live mass may even
             // be zero when every class is provably dead).
             if stratified.is_none() && ex.weighted.total() < unit.len() as u64 {
-                return Err(syntax(format!(
+                return Err(format!(
                     "weighted counts sum to {} but the range holds {} classes",
                     ex.weighted.total(),
                     unit.len()
-                )));
+                ));
             }
             if ex.weighted.total().saturating_add(ex.pruned) > ex.weight_total {
-                return Err(syntax(format!(
+                return Err(format!(
                     "weighted mass {} + pruned {} exceeds the population {}",
                     ex.weighted.total(),
                     ex.pruned,
                     ex.weight_total
-                )));
+                ));
             }
             Some(ex)
         } else {
@@ -1087,106 +1139,17 @@ impl ShardStore {
             fault_free_instructions: parse(fields[12])?,
             fingerprint: fp
                 .parse()
-                .map_err(|e| syntax(format!("{e} (fingerprint {fp:?})")))?,
+                .map_err(|e| format!("{e} (fingerprint {fp:?})"))?,
             exhaustive,
         })
     }
 
-    /// Parses shard CSV, quarantining defective rows instead of failing —
-    /// the merge path: a shard with a torn final line (its worker was
-    /// killed mid-append) yields every intact unit.
-    ///
-    /// # Errors
-    ///
-    /// Only [`StoreError::UnsupportedVersion`]: a file that does not open
-    /// with the shard version line is not a shard store, and none of its
-    /// lines can be trusted as rows.
-    pub fn from_csv_lossy(csv: &str) -> Result<(Self, ShardLoadAudit), StoreError> {
-        match csv.lines().next() {
-            None => return Ok((Self::new(), ShardLoadAudit::empty())),
-            Some(first) if first.trim() == SHARD_VERSION_LINE => {}
-            Some(first) => {
-                return Err(StoreError::UnsupportedVersion {
-                    found: first.to_string(),
-                })
-            }
-        }
-        let mut store = Self::new();
-        let mut audit = ShardLoadAudit::empty();
-        // Line 1 is the version line, line 2 the header.
-        for (lineno, line) in csv.lines().enumerate().skip(2) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Self::parse_row(line) {
-                Ok(row) => {
-                    store.push(row);
-                    audit.rows_loaded += 1;
-                }
-                Err(defect) => audit.quarantined.push(QuarantinedRow {
-                    line: lineno + 1,
-                    raw: line.to_string(),
-                    defect,
-                }),
-            }
-        }
-        Ok((store, audit))
+    fn push_row(&mut self, row: ShardRow) {
+        self.rows.push(row);
     }
 
-    /// Appends one completed unit to the shard file (creating it, with
-    /// version line and header, if absent), synced to stable storage
-    /// before returning — the worker's durability point: a unit is only
-    /// reported `done` after this call succeeds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn append_row_with(
-        io: &dyn StoreIo,
-        path: &Path,
-        row: &ShardRow,
-    ) -> Result<(), StoreError> {
-        let line = Self::csv_row(row);
-        if io.len(path)? == 0 {
-            io.append(
-                path,
-                &format!("{SHARD_VERSION_LINE}\n{SHARD_CSV_HEADER}\n{line}\n"),
-            )?;
-            return Ok(());
-        }
-        io.append(path, &format!("{line}\n"))?;
-        Ok(())
-    }
-
-    /// Crash-safe load: defective rows are moved to a `<file>.quarantine`
-    /// sidecar and the survivors returned; when anything was quarantined
-    /// the file is atomically rewritten clean. A missing file yields an
-    /// empty store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors and [`StoreError::UnsupportedVersion`].
-    pub fn recover_with(
-        io: &dyn StoreIo,
-        path: &Path,
-    ) -> Result<(Self, ShardLoadAudit), StoreError> {
-        let text = match io.read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Self::new(), ShardLoadAudit::empty()))
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (store, audit) = Self::from_csv_lossy(&text)?;
-        if !audit.quarantined.is_empty() {
-            let mut sidecar = String::new();
-            for q in &audit.quarantined {
-                sidecar.push_str(&format!("line {}: {}: {}\n", q.line, q.defect, q.raw));
-            }
-            io.append(&quarantine_path(path), &sidecar)?;
-            io.write_atomic(path, &store.to_csv())?;
-        }
-        Ok((store, audit))
+    fn bodies(&self) -> Vec<String> {
+        self.rows.iter().map(ShardRow::body).collect()
     }
 }
 
@@ -1388,7 +1351,7 @@ mod tests {
             Some(GoldenFingerprint(0xDEAD_BEEF_0123_4567)),
         );
         let csv = s.to_csv();
-        assert!(csv.starts_with(STORE_VERSION_LINE));
+        assert!(csv.starts_with(ResultStore::VERSION_LINE));
         let back = ResultStore::from_csv(&csv).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(
@@ -1486,8 +1449,8 @@ mod tests {
             let (body, _) = row.rsplit_once(',').expect("crc field");
             let body = body.replacen(from, to, 1);
             assert_ne!(body, row, "tamper must apply");
-            let crc = crc32(body.as_bytes());
-            format!("{}\n{}\n{body},{crc:08x}\n", STORE_VERSION_LINE, CSV_HEADER)
+            // An empty store renders as just its version line and header.
+            format!("{}{}\n", ResultStore::new().to_csv(), seal(&body))
         };
         let good = tampered_csv(7, 100);
         assert!(ResultStore::from_csv(&good).is_ok());
@@ -1676,7 +1639,7 @@ mod tests {
         ResultStore::append_row_with(&RealIo, &path, &b, Some(GoldenFingerprint(7))).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
-            text.starts_with(STORE_VERSION_LINE),
+            text.starts_with(ResultStore::VERSION_LINE),
             "upgraded to v2: {text}"
         );
         let loaded = ResultStore::load(&path).unwrap();

@@ -45,7 +45,7 @@ use crate::experiments::{env_value, parse_env, ConfigError};
 use crate::fabric::{load_shard_dir, merge_rows, MergeReport, SweepPlan};
 use crate::io::RealIo;
 use crate::protocol::{
-    read_frame, write_frame, ExpSpec, Json, ProtocolError, ToSupervisor, ToWorker,
+    read_frame, unit_to_json, write_frame, ExpSpec, Json, ProtocolError, ToSupervisor, ToWorker,
 };
 use crate::source::{FaultSource, UnitSpace};
 use crate::store::{Key, ResultStore, ShardRow, ShardStore, StoreError};
@@ -366,19 +366,6 @@ pub enum FabricEvent {
     },
 }
 
-fn unit_json(u: &UnitSpec) -> Json {
-    Json::Obj(vec![
-        (
-            "comp".into(),
-            Json::str(crate::store::component_slug(u.component)),
-        ),
-        ("wl".into(), Json::str(u.workload.name())),
-        ("faults".into(), Json::usize(u.faults)),
-        ("start".into(), Json::usize(u.start)),
-        ("end".into(), Json::usize(u.end)),
-    ])
-}
-
 impl FabricEvent {
     /// The event's kind discriminator, kebab-case.
     pub fn kind(&self) -> &'static str {
@@ -425,7 +412,7 @@ impl FabricEvent {
                 completed,
                 planned,
             } => {
-                fields.push(("unit".into(), unit_json(unit)));
+                fields.push(("unit".into(), unit_to_json(unit)));
                 fields.push(("worker".into(), Json::usize(*worker)));
                 fields.push(("runs".into(), Json::u64(*runs)));
                 fields.push(("anomalies".into(), Json::usize(*anomalies)));
@@ -438,7 +425,7 @@ impl FabricEvent {
                 completed,
                 planned,
             } => {
-                fields.push(("unit".into(), unit_json(unit)));
+                fields.push(("unit".into(), unit_to_json(unit)));
                 fields.push(("worker".into(), Json::usize(*worker)));
                 fields.push(("completed".into(), Json::usize(*completed)));
                 fields.push(("planned".into(), Json::usize(*planned)));
@@ -448,12 +435,12 @@ impl FabricEvent {
                 worker,
                 error,
             } => {
-                fields.push(("unit".into(), unit_json(unit)));
+                fields.push(("unit".into(), unit_to_json(unit)));
                 fields.push(("worker".into(), Json::usize(*worker)));
                 fields.push(("error".into(), Json::str(error)));
             }
             FabricEvent::Quarantined { unit, why } => {
-                fields.push(("unit".into(), unit_json(unit)));
+                fields.push(("unit".into(), unit_to_json(unit)));
                 fields.push(("why".into(), Json::str(why)));
             }
             FabricEvent::DiskPressure {
@@ -915,7 +902,7 @@ impl<'a> Supervisor<'a> {
                 Err(e) => self.quarantine_campaign(key, &e.to_string()),
             }
         }
-        let (rows, _audits) = load_shard_dir(&RealIo, &self.shard_dir)?;
+        let rows = load_shard_dir(&RealIo, &self.shard_dir)?;
         let (_pre, pre_report) = merge_rows(self.exp, &self.plan, &rows, &self.expected);
         let now = Instant::now();
         for gap in &pre_report.gaps {
@@ -968,9 +955,6 @@ impl<'a> Supervisor<'a> {
             seed: self.exp.seed,
             threads: self.exp.threads,
             adaptive: self.exp.adaptive,
-            use_snapshots: self.exp.use_snapshots,
-            snapshot_interval: self.exp.snapshot_interval,
-            snapshot_mem_mb: self.exp.snapshot_mem_mb,
             equiv: source.wire(self.exp),
         }
     }
@@ -1473,6 +1457,18 @@ impl<'a> Supervisor<'a> {
         Some(self.pending.remove(i).spec)
     }
 
+    /// Appends a row a remote worker sent to the supervisor's own shard
+    /// store: that worker's shard file is on another machine, and the merge
+    /// reads only this directory. (A local worker's row is already in its
+    /// shard file here; a copy would merely duplicate.)
+    fn persist_remote(&self, slot: usize, row: &ShardRow) -> Result<(), FabricError> {
+        if matches!(self.slots[slot].link, Link::Remote(_)) {
+            let path = self.shard_dir.join("supervisor.csv");
+            ShardStore::append_row_with(&RealIo, &path, row)?;
+        }
+        Ok(())
+    }
+
     fn on_message(&mut self, slot: usize, msg: ToSupervisor) -> Result<(), FabricError> {
         if !self.slots[slot].alive {
             // Late message from a worker already declared dead; its rows
@@ -1516,16 +1512,8 @@ impl<'a> Supervisor<'a> {
                 });
             }
             ToSupervisor::Recovered { row } => {
-                // A reconnecting worker replayed a durable shard row. For
-                // remote workers the shard file is on another machine, so
-                // persist the replayed row supervisor-side.
-                if matches!(self.slots[slot].link, Link::Remote(_)) {
-                    ShardStore::append_row_with(
-                        &RealIo,
-                        &self.shard_dir.join("supervisor.csv"),
-                        &row,
-                    )?;
-                }
+                // A reconnecting worker replayed a durable shard row.
+                self.persist_remote(slot, &row)?;
                 if let Some(unit) = self.recover_unit(&row) {
                     if self.config.verbose {
                         eprintln!(
@@ -1572,17 +1560,7 @@ impl<'a> Supervisor<'a> {
                         planned: self.report.units_planned,
                     });
                 }
-                // Remote workers' shard files are on another machine; the
-                // acknowledged row is persisted supervisor-side so the
-                // merge sees it. (Local rows would merely duplicate —
-                // harmless, but skipped.)
-                if matches!(self.slots[slot].link, Link::Remote(_)) {
-                    ShardStore::append_row_with(
-                        &RealIo,
-                        &self.shard_dir.join("supervisor.csv"),
-                        &row,
-                    )?;
-                }
+                self.persist_remote(slot, &row)?;
             }
             ToSupervisor::Fail { unit_id, error } => {
                 if self.slots[slot].busy == Some(unit_id) {
@@ -1674,7 +1652,7 @@ impl<'a> Supervisor<'a> {
         existing: ResultStore,
         out_csv: &Path,
     ) -> Result<(ResultStore, FabricReport), FabricError> {
-        let (rows, _audits) = load_shard_dir(&RealIo, &self.shard_dir)?;
+        let rows = load_shard_dir(&RealIo, &self.shard_dir)?;
         // The plan only ever holds campaigns that were not already in the
         // final store, so no filtering here.
         let (merged, merge_report) = merge_rows(self.exp, &self.plan, &rows, &self.expected);

@@ -6,7 +6,9 @@
 //!   `MBU_…` name in the CI workflow, has a row — so a caller that still
 //!   sets a retired knob fails here instead of silently doing nothing;
 //! * every row names a variable that non-test code under `crates/*/src`
-//!   reads — so a retired knob cannot linger in the documentation.
+//!   reads — so a retired knob cannot linger in the documentation;
+//! * the table's length is pinned, so the knob count only changes on
+//!   purpose.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -141,6 +143,14 @@ fn every_readme_row_names_a_knob_the_code_reads() {
         stale.is_empty(),
         "README knob rows that no non-test source under crates/*/src reads: {stale:?}"
     );
+}
+
+/// The knob count only moves visibly: a change that adds or retires an
+/// `MBU_*` name moves this pin with it.
+#[test]
+fn the_knob_table_holds_exactly_27_knobs() {
+    let table = documented();
+    assert_eq!(table.len(), 27, "{table:?}");
 }
 
 #[test]

@@ -130,34 +130,3 @@ fn snapshots_compose_with_oracle_and_adaptive_sampling() {
         );
     }
 }
-
-/// The `MBU_SNAPSHOT_*`-backed knobs thread through `Experiments` into the
-/// campaign: a capped store degrades to sparser checkpoints (surfaced in
-/// the stats) without changing a single classification.
-#[test]
-fn experiments_snapshot_knobs_degrade_gracefully() {
-    let workload = Workload::Stringsearch;
-    let plain = Experiments {
-        runs: 10,
-        workloads: vec![workload],
-        use_snapshots: false,
-        ..Experiments::default()
-    };
-    let mut capped = plain.clone();
-    capped.use_snapshots = true;
-    capped.snapshot_interval = Some(256);
-    capped.snapshot_mem_mb = Some(0); // 0 MiB: forces maximal thinning
-    let a = plain.campaign(HwComponent::DTlb, workload, 2);
-    let b = capped.campaign(HwComponent::DTlb, workload, 2);
-    assert_eq!(a.counts, b.counts);
-    let stats = b.snapshot_stats.expect("stats surface in the result");
-    assert!(stats.thinned >= 1, "a 0 MiB cap must thin the store");
-    assert!(stats.interval > 256, "thinning must widen the interval");
-    assert!(
-        b.anomalies
-            .entries()
-            .iter()
-            .any(|an| an.message.contains("snapshot store exceeded")),
-        "the cap must be logged as an anomaly"
-    );
-}

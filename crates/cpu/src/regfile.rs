@@ -8,7 +8,7 @@
 //! paper injects into the register file's storage cells).
 
 use mbu_isa::Reg;
-use mbu_sram::{BitCoord, CowVec, Geometry, Injectable, Restorable, Snapshot};
+use mbu_sram::{BitCoord, CowVec, Geometry, Injectable, Snapshot};
 use std::collections::VecDeque;
 
 /// Identifier of a physical register.
@@ -218,12 +218,6 @@ impl Snapshot for PhysRegFile {
     }
 }
 
-impl Restorable for PhysRegFile {
-    fn restore(&mut self, state: &PhysRegFile) {
-        self.clone_from(state);
-    }
-}
-
 impl Injectable for PhysRegFile {
     /// One row per physical register, 32 bit columns.
     fn injectable_geometry(&self) -> Geometry {
@@ -326,7 +320,7 @@ mod tests {
         prf.allocate(Reg::new(3)).unwrap();
         prf.inject_flip(BitCoord::new(0, 0));
         assert_ne!(prf, saved);
-        prf.restore(&saved);
+        prf.clone_from(&saved);
         assert_eq!(prf, saved);
     }
 }

@@ -16,7 +16,7 @@
 //!   surfaces as the assert failure class.
 
 use crate::phys::{PhysicalMemory, UnmappedPhysical};
-use mbu_sram::{BitCoord, CowVec, Geometry, Injectable, Restorable, Snapshot};
+use mbu_sram::{BitCoord, CowVec, Geometry, Injectable, Snapshot};
 
 /// Cache line size in bytes (Cortex-A9 L1/L2).
 pub const LINE_BYTES: u32 = 32;
@@ -572,12 +572,6 @@ impl Snapshot for Cache {
     }
 }
 
-impl Restorable for Cache {
-    fn restore(&mut self, state: &Cache) {
-        self.clone_from(state);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,7 +743,7 @@ mod tests {
         let saved = c.snapshot();
         c.access(0x100, false, &mut next).unwrap(); // evicts the dirty line
         assert_ne!(c, saved);
-        c.restore(&saved);
+        c.clone_from(&saved);
         assert_eq!(c, saved);
         assert_eq!(c.stats().misses, 2);
     }

@@ -8,7 +8,7 @@
 //! when a corrupted TLB or cache tag produces such an address (paper §IV.E).
 
 use crate::PAGE_SIZE;
-use mbu_sram::{Restorable, Snapshot};
+use mbu_sram::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -247,12 +247,6 @@ impl Snapshot for PhysicalMemory {
     }
 }
 
-impl Restorable for PhysicalMemory {
-    fn restore(&mut self, state: &PhysicalMemory) {
-        self.clone_from(state);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +318,7 @@ mod tests {
         let snap = m.snapshot();
         m.write_line(0, &[1; 32]).unwrap();
         m.write_line(PAGE_SIZE, &[2; 32]).unwrap();
-        m.restore(&snap);
+        m.clone_from(&snap);
         assert_eq!(m, snap);
         assert_eq!(m.read_line(0).unwrap(), [9; 32]);
         assert_eq!(m.read_line(PAGE_SIZE).unwrap(), [0; 32]);

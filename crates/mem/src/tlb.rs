@@ -21,7 +21,7 @@
 
 use crate::paging::PagePerms;
 use crate::{PPN_BITS, VPN_BITS};
-use mbu_sram::{BitCoord, Geometry, Injectable, Restorable, Snapshot};
+use mbu_sram::{BitCoord, Geometry, Injectable, Snapshot};
 
 /// Bit position of the permission field within an entry.
 pub const PERM_SHIFT: u32 = 0;
@@ -213,12 +213,6 @@ impl Snapshot for Tlb {
     }
 }
 
-impl Restorable for Tlb {
-    fn restore(&mut self, state: &Tlb) {
-        self.clone_from(state);
-    }
-}
-
 impl Injectable for Tlb {
     fn injectable_geometry(&self) -> Geometry {
         self.config.geometry()
@@ -329,7 +323,7 @@ mod tests {
         t.fill(3, 4, PagePerms::R);
         t.lookup(1);
         assert_ne!(t, saved);
-        t.restore(&saved);
+        t.clone_from(&saved);
         assert_eq!(t, saved);
     }
 

@@ -1,10 +1,10 @@
 //! Copy-on-write array storage for zero-copy snapshot restore.
 //!
 //! A [`CowVec`] wraps its element vector in an [`Arc`], so cloning — which
-//! is exactly what checkpointing ([`crate::Snapshot`]) and rewinding
-//! ([`crate::Restorable`]) do — is O(1) and shares the underlying
-//! allocation. The first mutation after a clone ([`CowVec::make_mut`])
-//! unshares the whole array via [`Arc::make_mut`]; an array a run never
+//! is exactly what checkpointing ([`crate::Snapshot`]) and rewinding with
+//! `clone_from` do — is O(1) and shares the underlying allocation. The
+//! first mutation after a clone ([`CowVec::make_mut`]) unshares the
+//! whole array via [`Arc::make_mut`]; an array a run never
 //! writes is never copied. This extends the page-granular copy-on-write
 //! scheme of the DRAM model to the dense SRAM arrays (cache data / tag /
 //! LRU, the physical register file), where whole-array granularity is the
@@ -21,7 +21,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::{Restorable, Snapshot};
+use crate::Snapshot;
 
 /// A clone-sharing, copy-on-first-write array.
 ///
@@ -119,13 +119,6 @@ impl<T: Clone> Snapshot for CowVec<T> {
     }
 }
 
-impl<T: Clone> Restorable for CowVec<T> {
-    fn restore(&mut self, state: &CowVec<T>) {
-        // O(1): drops this side's allocation (if unshared) and re-shares.
-        self.inner = Arc::clone(&state.inner);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,8 +143,8 @@ mod tests {
         let snap = a.snapshot();
         a.make_mut()[0] = 0xFF;
         assert_ne!(a, snap);
-        a.restore(&snap);
-        assert!(a.is_shared_with(&snap), "restore must re-share, not copy");
+        a.clone_from(&snap);
+        assert!(a.is_shared_with(&snap), "rewinding must re-share, not copy");
         assert_eq!(a, snap);
     }
 

@@ -367,27 +367,11 @@ pub trait Snapshot {
     fn snapshot(&self) -> Self::State;
 }
 
-/// Trait implemented by structures that can be rewound to a previously
-/// captured [`Snapshot::State`].
-pub trait Restorable: Snapshot {
-    /// Overwrites all mutable state with the checkpoint.
-    ///
-    /// After `restore`, the structure must be indistinguishable from the one
-    /// the state was captured from.
-    fn restore(&mut self, state: &Self::State);
-}
-
 impl Snapshot for BitArray {
     type State = BitArray;
 
     fn snapshot(&self) -> BitArray {
         self.clone()
-    }
-}
-
-impl Restorable for BitArray {
-    fn restore(&mut self, state: &BitArray) {
-        self.clone_from(state);
     }
 }
 
@@ -485,7 +469,7 @@ mod tests {
         let saved = a.snapshot();
         a.clear();
         a.write_word(3, 0, 64, u64::MAX);
-        a.restore(&saved);
+        a.clone_from(&saved);
         assert_eq!(a, saved);
         assert_eq!(a.read_word(1, 90, 10), 0x2AB);
     }
