@@ -22,15 +22,15 @@
 //!                    non-zero exit on defective rows or annotations)
 //!   sweep            distributed measure: spawns MBU_WORKERS (or
 //!                    --workers N) supervised worker processes, shards
-//!                    every campaign into run-ranges, retries lost or
-//!                    stalled workers (retries dispatch first), and merges
-//!                    the per-worker shard stores into --out — the merged
-//!                    CSV is byte-identical to a single-process measure
-//!   worker           one sweep worker (supervisor-spawned over stdio, or
-//!                    --connect <addr> for a remote supervisor); writes its
-//!                    checksummed shard to --shard <path> before acking
-//!   serve            like sweep, but adopts --workers N workers that
-//!                    connect to --listen <addr> instead of spawning them
+//!                    every campaign of --components (default all six)
+//!                    into run-ranges, retries lost or stalled workers
+//!                    (retries dispatch first), and merges the per-worker
+//!                    shard stores into --out — the merged CSV is
+//!                    byte-identical to a single-process measure
+//!   worker           one sweep worker, spawned by the supervisor over
+//!                    stdio; writes its checksummed shard to --shard
+//!                    <path> before acking (--fault <spec> arms a chaos
+//!                    fault, set by the supervisor only)
 //!   daemon           long-running HTTP injection service: accepts sweep
 //!                    submissions (POST /sweeps), runs them concurrently
 //!                    over the fabric, streams live progress, and serves
@@ -55,12 +55,12 @@
 //!                    and resumes like measure (stale rows re-run);
 //!                    --components picks the set, and any big array listed
 //!                    (L1D/L1I/L2) is covered by class-weighted stratified
-//!                    sampling; --workers N (or --listen <addr>) shards
-//!                    each campaign by live-class range over the
-//!                    distributed fabric — into the shards/ directory
-//!                    `sweep` uses, each row's flavour keeping the two
-//!                    kinds of sweep apart — and the merge is
-//!                    bit-identical to the single-process sweep
+//!                    sampling; --workers N shards each campaign by
+//!                    live-class range over the distributed fabric —
+//!                    into the shards/ directory `sweep` uses, each
+//!                    row's flavour keeping the two kinds of sweep
+//!                    apart — and the merge is bit-identical to the
+//!                    single-process sweep
 //!   all              everything in paper order
 //!
 //! flags:
@@ -76,6 +76,7 @@
 //! never silently defaulted.
 //! ```
 
+use mbu_bench::chaos::WorkerFault;
 use mbu_bench::supervisor::{FabricConfig, FabricReport, Supervisor, SweepOptions, WorkerPool};
 use mbu_bench::{AnalyticalStore, Experiments, Json, ResultStore, EXHAUSTIVE_COMPONENTS};
 use mbu_cpu::HwComponent;
@@ -94,25 +95,23 @@ struct Options {
     chart: bool,
     out: PathBuf,
     workload: Workload,
-    /// `--workers N` override for sweep/serve.
+    /// `--workers N` override for sweep/exhaustive.
     workers: Option<usize>,
-    /// `--shards <dir>`: shard directory for sweep/serve/verify-store.
+    /// `--shards <dir>`: shard directory for sweep/exhaustive/verify-store.
     shards: Option<PathBuf>,
     /// `--shard <path>`: this worker's shard store.
     shard: Option<PathBuf>,
-    /// `--listen <addr>` for serve/daemon.
+    /// `--fault <spec>`: the chaos fault a supervisor armed on this worker.
+    fault: Option<WorkerFault>,
+    /// `--listen <addr>` for daemon.
     listen: Option<String>,
-    /// `--connect <addr>` for worker.
-    connect: Option<String>,
-    /// `--id <name>`: stable worker id for TCP session resume.
-    worker_id: Option<String>,
     /// `--state <dir>`: daemon job-state directory.
     state: PathBuf,
     /// `--to <addr>`: daemon address for the client verbs.
     to: Option<String>,
     /// `--follow`: stream live events until the job finishes.
     follow: bool,
-    /// `--components <a,b,..>` for submit (default: all six).
+    /// `--components <a,b,..>` for sweep, exhaustive and submit.
     components: Option<String>,
     /// `--mode <measure|exhaustive>` for submit (default: measure).
     mode: Option<String>,
@@ -130,9 +129,8 @@ fn parse_args() -> Result<Options, String> {
     let mut workers = None;
     let mut shards = None;
     let mut shard = None;
+    let mut fault = None;
     let mut listen = None;
-    let mut connect = None;
-    let mut worker_id = None;
     let mut state = PathBuf::from("results/serve");
     let mut to = None;
     let mut follow = false;
@@ -158,14 +156,12 @@ fn parse_args() -> Result<Options, String> {
             "--shard" => {
                 shard = Some(PathBuf::from(args.next().ok_or("--shard needs a path")?));
             }
+            "--fault" => {
+                let spec = args.next().ok_or("--fault needs a fault spec")?;
+                fault = Some(WorkerFault::parse(&spec).map_err(|e| format!("--fault: {e}"))?);
+            }
             "--listen" => {
                 listen = Some(args.next().ok_or("--listen needs an address")?);
-            }
-            "--connect" => {
-                connect = Some(args.next().ok_or("--connect needs an address")?);
-            }
-            "--id" => {
-                worker_id = Some(args.next().ok_or("--id needs a worker name")?);
             }
             "--state" => {
                 state = PathBuf::from(args.next().ok_or("--state needs a directory")?);
@@ -213,9 +209,8 @@ fn parse_args() -> Result<Options, String> {
         workers,
         shards,
         shard,
+        fault,
         listen,
-        connect,
-        worker_id,
         state,
         to,
         follow,
@@ -226,12 +221,11 @@ fn parse_args() -> Result<Options, String> {
 
 fn usage() {
     eprintln!(
-        "usage: repro <table1..table8|fig1..fig8|measure|summary|ablation|xval|occupancy|verify-store|exhaustive|sweep|worker|serve|all> [--paper] [--csv] [--chart] [--out path] [--workload w]\n\
+        "usage: repro <table1..table8|fig1..fig8|measure|summary|ablation|xval|occupancy|verify-store|exhaustive|sweep|worker|all> [--paper] [--csv] [--chart] [--out path] [--workload w]\n\
          \x20      repro verify-store <checkpoint.csv>   read-only integrity audit\n\
          \x20      repro verify-store --shards <dir>     audit worker shard stores (exit 1 on defects)\n\
-         \x20      repro sweep [--workers N] [--shards dir]  distributed measure with supervised workers\n\
-         \x20      repro serve --listen <addr> [--workers N] adopt TCP-connected workers instead\n\
-         \x20      repro worker --shard <path> [--connect <addr>] [--id name]  one worker (normally supervisor-spawned)\n\
+         \x20      repro sweep [--workers N] [--shards dir] [--components a,b]  distributed measure with supervised workers\n\
+         \x20      repro worker --shard <path> [--fault spec]  one worker (spawned by the supervisor)\n\
          \x20      repro daemon --listen <addr> [--state dir]  HTTP injection service (see README)\n\
          \x20      repro submit --to <addr> [--components a,b] [--mode measure|exhaustive]  POST a sweep, prints the job id\n\
          \x20      repro status --to <addr> <id> [--follow]    job status / live event stream\n\
@@ -241,9 +235,26 @@ fn usage() {
          \x20      repro exhaustive [--components a,b]   one run per live equivalence class (default ITLB/DTLB/PRF;\n\
          \x20                                            listed L1D/L1I/L2 run stratified) -> results/exhaustive.csv\n\
          \x20      repro exhaustive --workers N [--shards dir]  same sweep sharded by class range over the fabric\n\
-         \x20                                            (bit-identical merge; --listen <addr> adopts TCP workers)\n\
+         \x20                                            (bit-identical merge)\n\
          env:   MBU_* knobs, tabulated in README.md (\"Configuration knobs\")"
     );
+}
+
+/// The `--components` list (comma-separated slugs), or `default` when the
+/// flag is absent.
+fn components(opts: &Options, default: &[HwComponent]) -> Result<Vec<HwComponent>, String> {
+    match &opts.components {
+        Some(list) => list
+            .split(',')
+            .filter(|s| !s.trim().is_empty())
+            .map(|s| {
+                s.trim()
+                    .parse::<HwComponent>()
+                    .map_err(|err| err.to_string())
+            })
+            .collect(),
+        None => Ok(default.to_vec()),
+    }
 }
 
 fn emit(table: &Table, csv: bool) {
@@ -441,17 +452,11 @@ fn submit_body(e: &Experiments, opts: &Options) -> Result<Json, String> {
     if !exhaustive {
         fields.push(("cardinality".into(), Json::usize(e.max_cardinality)));
     }
-    if let Some(list) = &opts.components {
-        let comps: Vec<Json> = list
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse::<HwComponent>()
-                    .map(|c| Json::str(mbu_bench::store::component_slug(c)))
-                    .map_err(|err| err.to_string())
-            })
-            .collect::<Result<_, _>>()?;
+    if opts.components.is_some() {
+        let comps = components(opts, &[])?
+            .into_iter()
+            .map(|c| Json::str(mbu_bench::store::component_slug(c)))
+            .collect();
         fields.insert(0, ("components".into(), Json::Arr(comps)));
     }
     if let Some(mode) = &opts.mode {
@@ -676,17 +681,8 @@ fn run(opts: &Options) -> Result<(), String> {
             // --components picks the set (default: the small structures);
             // small structures enumerate exhaustively, big arrays sample
             // stratified.
-            let components = match &opts.components {
-                Some(list) => list
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| s.trim().parse::<HwComponent>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|err| err.to_string())?,
-                None => EXHAUSTIVE_COMPONENTS.to_vec(),
-            };
-            let campaigns = e.class_campaigns(&components);
-            if opts.workers.is_some() || opts.listen.is_some() {
+            let campaigns = e.class_campaigns(&components(opts, &EXHAUSTIVE_COMPONENTS)?);
+            if opts.workers.is_some() {
                 // Distributed: shard each campaign by class range over
                 // supervised workers; the merged store is byte-identical
                 // to the single-process path below.
@@ -698,21 +694,13 @@ fn run(opts: &Options) -> Result<(), String> {
                 // The shard directory `repro sweep` uses: each row's
                 // flavour keeps the two kinds of sweep apart.
                 let shard_dir = opts.shards.clone().unwrap_or_else(|| dir.join("shards"));
-                let pool = match &opts.listen {
-                    Some(addr) => {
-                        let listener = std::net::TcpListener::bind(addr)
-                            .map_err(|err| format!("bind {addr}: {err}"))?;
-                        WorkerPool::Tcp(listener)
-                    }
-                    None => WorkerPool::Spawn,
-                };
                 let (dist_store, fabric_report) = Supervisor::run_campaigns(
                     &e,
                     &campaigns,
                     &config,
                     &shard_dir,
                     &path,
-                    pool,
+                    WorkerPool::Spawn,
                     SweepOptions::default(),
                 )
                 .map_err(|err| err.to_string())?;
@@ -808,7 +796,7 @@ fn run(opts: &Options) -> Result<(), String> {
                 emit(&table, opts.csv);
             }
         }
-        "sweep" | "serve" => {
+        "sweep" => {
             let mut config = FabricConfig::from_env().map_err(|err| err.to_string())?;
             if let Some(w) = opts.workers {
                 config.workers = w;
@@ -820,17 +808,15 @@ fn run(opts: &Options) -> Result<(), String> {
                     .unwrap_or_else(|| std::path::Path::new("results"))
                     .join("shards")
             });
-            let pool = if id == "serve" {
-                let addr = opts.listen.clone().ok_or("serve needs --listen <addr>")?;
-                let listener = std::net::TcpListener::bind(&addr)
-                    .map_err(|err| format!("bind {addr}: {err}"))?;
-                WorkerPool::Tcp(listener)
-            } else {
-                WorkerPool::Spawn
-            };
-            let (store, report) =
-                Supervisor::run(&e, &HwComponent::ALL, &config, &shard_dir, &opts.out, pool)
-                    .map_err(|err| err.to_string())?;
+            let (store, report) = Supervisor::run(
+                &e,
+                &components(opts, &HwComponent::ALL)?,
+                &config,
+                &shard_dir,
+                &opts.out,
+                WorkerPool::Spawn,
+            )
+            .map_err(|err| err.to_string())?;
             if !report_fabric(&report, &store, &opts.out) {
                 return Err("sweep completed degraded (quarantined units or coverage gaps)".into());
             }
@@ -840,27 +826,13 @@ fn run(opts: &Options) -> Result<(), String> {
             let heartbeat = FabricConfig::from_env()
                 .map_err(|err| err.to_string())?
                 .heartbeat;
-            match &opts.connect {
-                Some(addr) => {
-                    let stream = std::net::TcpStream::connect(addr)
-                        .map_err(|err| format!("connect {addr}: {err}"))?;
-                    let reader = stream.try_clone().map_err(|err| err.to_string())?;
-                    mbu_bench::fabric::run_worker(
-                        std::io::BufReader::new(reader),
-                        stream,
-                        &shard,
-                        heartbeat,
-                        opts.worker_id.clone(),
-                    )
-                }
-                None => mbu_bench::fabric::run_worker(
-                    std::io::stdin().lock(),
-                    std::io::stdout(),
-                    &shard,
-                    heartbeat,
-                    opts.worker_id.clone(),
-                ),
-            }
+            mbu_bench::fabric::run_worker(
+                std::io::stdin().lock(),
+                std::io::stdout(),
+                &shard,
+                heartbeat,
+                opts.fault.clone(),
+            )
             .map_err(|err| format!("worker: {err}"))?;
         }
         "daemon" => {

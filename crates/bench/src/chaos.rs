@@ -166,8 +166,8 @@ pub enum WorkerFault {
     /// Exit abruptly (status 137) immediately after the Nth completed
     /// unit's row is durably in the shard store but *before* the `Done`
     /// acknowledgement is sent — the precise window where work is done on
-    /// disk yet the supervisor believes it lost. This is the fault the
-    /// worker-rejoin recovery path exists for.
+    /// disk yet the supervisor believes it lost. The supervisor retries
+    /// the unit, and the merge drops the second copy as a duplicate.
     DieAfterPersist {
         /// Completed-and-persisted units before dying.
         after_units: usize,
@@ -245,14 +245,11 @@ pub struct WorkerChaos {
 
 /// The supervisor-side env var: a comma-separated list of
 /// `<worker index>:<fault spec>` entries. The supervisor consumes it and
-/// passes each bare spec to the worker spawned at that slot index via
-/// [`WORKER_FAULT_ENV`] — a respawned replacement takes the next free
-/// index, so it inherits only a fault aimed at that index, and a killed
-/// worker does not kill its replacement.
+/// passes each bare spec to the worker spawned at that slot index as
+/// `repro worker --fault <spec>` — a respawned replacement takes the next
+/// free index, so it inherits only a fault aimed at that index, and a
+/// killed worker does not kill its replacement.
 pub const CHAOS_WORKER_ENV: &str = "MBU_CHAOS_WORKER";
-
-/// The worker-side env var holding a bare fault spec.
-pub const WORKER_FAULT_ENV: &str = "MBU_CHAOS_FAULT";
 
 impl WorkerChaos {
     /// No chaos.
@@ -268,29 +265,14 @@ impl WorkerChaos {
         }
     }
 
-    /// Builds from [`WORKER_FAULT_ENV`] (no chaos when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec — chaos wiring is test scaffolding, and
-    /// a typo'd fault silently not firing would pass the test it was meant
-    /// to arm.
-    pub fn from_env() -> Self {
-        match std::env::var(WORKER_FAULT_ENV) {
-            Ok(spec) => match WorkerFault::parse(&spec) {
-                Ok(fault) => Self::with_fault(fault),
-                Err(e) => panic!("{WORKER_FAULT_ENV}: {e}"),
-            },
-            Err(_) => Self::none(),
-        }
-    }
-
     /// Parses the supervisor-side [`CHAOS_WORKER_ENV`] into (worker
     /// index, fault spec) pairs, empty when unset.
     ///
     /// # Panics
     ///
-    /// Panics on a malformed value (see [`WorkerChaos::from_env`]).
+    /// Panics on a malformed value — chaos wiring is test scaffolding, and
+    /// a typo'd fault silently not firing would pass the test it was meant
+    /// to arm.
     pub fn targets_from_env() -> Vec<(usize, String)> {
         let Ok(v) = std::env::var(CHAOS_WORKER_ENV) else {
             return Vec::new();

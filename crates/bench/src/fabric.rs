@@ -39,7 +39,7 @@
 //! * whatever remains uncovered is reported as precise gap units, so a
 //!   resumed sweep re-runs exactly the missing units and nothing else.
 
-use crate::chaos::WorkerChaos;
+use crate::chaos::{WorkerChaos, WorkerFault};
 use crate::io::{RealIo, StoreIo};
 use crate::protocol::{read_frame, write_frame, ProtocolError, ToSupervisor, ToWorker};
 use crate::source::{run_unit, FaultSource, RunHook, UnitCache};
@@ -489,15 +489,9 @@ type Pulse = Mutex<Option<u64>>;
 /// completed unit to `shard_path` *before* reporting it done — the
 /// durability point the crash-consistent merge relies on.
 ///
-/// `heartbeat` is the liveness-report interval. Chaos faults
-/// ([`WorkerChaos::from_env`]) fire inside this loop when armed.
-///
-/// `worker_id` is the stable session-resume identity: when set, it rides
-/// in the `Hello`, and any rows already in `shard_path` are replayed as
-/// `Recovered` right after — work that was persisted durably but possibly
-/// never acknowledged before a crash or dropped connection. A supervisor
-/// that requeued those units retires them instead of re-running; anything
-/// stale is dropped at merge, so the replay is always safe.
+/// `heartbeat` is the liveness-report interval. `fault` is the chaos
+/// fault the supervisor armed on this worker (`repro worker --fault`), if
+/// any; it fires inside this loop at its scripted point.
 ///
 /// # Errors
 ///
@@ -510,13 +504,13 @@ pub fn run_worker<R, W>(
     output: W,
     shard_path: &Path,
     heartbeat: Duration,
-    worker_id: Option<String>,
+    fault: Option<WorkerFault>,
 ) -> Result<(), ProtocolError>
 where
     R: BufRead,
     W: Write + Send + 'static,
 {
-    let chaos = Arc::new(WorkerChaos::from_env());
+    let chaos = Arc::new(fault.map_or_else(WorkerChaos::none, WorkerChaos::with_fault));
     let out = Arc::new(Mutex::new(output));
     let send = |msg: &ToSupervisor| -> std::io::Result<()> {
         let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
@@ -524,15 +518,7 @@ where
     };
     send(&ToSupervisor::Hello {
         pid: std::process::id(),
-        worker_id: worker_id.clone(),
     })?;
-    if worker_id.is_some() && shard_path.exists() {
-        if let Ok((store, _)) = ShardStore::recover_with(&RealIo, shard_path) {
-            for row in store.rows() {
-                send(&ToSupervisor::Recovered { row: row.clone() })?;
-            }
-        }
-    }
     let pulse: Arc<Pulse> = Arc::new(Mutex::new(None));
     // Dropping `stop` when the control loop exits wakes the heartbeat at
     // once instead of after its current interval.

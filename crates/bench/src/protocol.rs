@@ -1,5 +1,5 @@
 //! Wire protocol between the distributed-sweep supervisor and its worker
-//! processes: length-prefixed JSON frames over stdio or TCP.
+//! processes: length-prefixed JSON frames over the workers' stdio pipes.
 //!
 //! The JSON value itself lives in [`mbu_gefin::json`] (re-exported here as
 //! [`Json`]) so the HTTP service layer can share it; this module owns the
@@ -284,12 +284,6 @@ impl ExpSpec {
     }
 }
 
-/// Decodes the `row` field of a worker message: a checksummed shard line.
-fn decode_row(v: &Json) -> Result<ShardRow, ProtocolError> {
-    ShardRow::from_line(get_str(v, "row")?)
-        .map_err(|defect| ProtocolError::Message(format!("bad shard row: {defect}")))
-}
-
 /// The JSON form of a unit: its campaign key and range.
 pub(crate) fn unit_to_json(u: &UnitSpec) -> Json {
     Json::Obj(vec![
@@ -385,11 +379,6 @@ pub enum ToSupervisor {
     Hello {
         /// The worker's OS process id, for diagnostics.
         pid: u32,
-        /// Stable worker identity for session resume. A reconnecting TCP
-        /// worker that presents the id of a lost slot rejoins the pool
-        /// instead of counting as a brand-new worker. Spawned stdio
-        /// workers leave this unset.
-        worker_id: Option<String>,
     },
     /// Periodic liveness signal while a unit is in flight.
     Heartbeat {
@@ -397,11 +386,10 @@ pub enum ToSupervisor {
         unit_id: u64,
     },
     /// The unit completed and its row is durably in the worker's shard
-    /// store. The row rides along, as its shard line, so a supervisor on
-    /// the other end of a TCP link (which cannot read the worker's local
-    /// shard file) can persist it into its own shard store; for stdio
-    /// workers the file on disk is the authoritative copy and this is a
-    /// control-plane echo.
+    /// store. The row rides along as its shard line, and the supervisor
+    /// decodes it with the shard parser, so a row the merge would
+    /// quarantine is refused on arrival; the shard file on disk stays the
+    /// authoritative copy.
     Done {
         /// The completed unit.
         unit_id: u64,
@@ -409,15 +397,6 @@ pub enum ToSupervisor {
         row: ShardRow,
         /// Anomalies the campaign logged (panics, wall-clock overruns).
         anomalies: usize,
-    },
-    /// A row replayed from the worker's shard store at startup: work that
-    /// was persisted durably but possibly never acknowledged (the worker
-    /// died between its shard append and its `Done` frame). The supervisor
-    /// uses these to retire matching requeued units without re-running
-    /// them; stale or unknown rows are simply ignored — the merge dedups.
-    Recovered {
-        /// The replayed shard row.
-        row: ShardRow,
     },
     /// The unit failed with a campaign-level error.
     Fail {
@@ -432,16 +411,10 @@ impl ToSupervisor {
     /// Encodes to a JSON object with a `t` discriminator.
     pub fn to_json(&self) -> Json {
         match self {
-            ToSupervisor::Hello { pid, worker_id } => {
-                let mut fields = vec![
-                    ("t".into(), Json::Str("hello".into())),
-                    ("pid".into(), Json::u64(*pid as u64)),
-                ];
-                if let Some(id) = worker_id {
-                    fields.push(("wid".into(), Json::Str(id.clone())));
-                }
-                Json::Obj(fields)
-            }
+            ToSupervisor::Hello { pid } => Json::Obj(vec![
+                ("t".into(), Json::Str("hello".into())),
+                ("pid".into(), Json::u64(*pid as u64)),
+            ]),
             ToSupervisor::Heartbeat { unit_id } => Json::Obj(vec![
                 ("t".into(), Json::Str("hb".into())),
                 ("id".into(), Json::u64(*unit_id)),
@@ -455,10 +428,6 @@ impl ToSupervisor {
                 ("id".into(), Json::u64(*unit_id)),
                 ("row".into(), Json::Str(row.to_line())),
                 ("anomalies".into(), Json::usize(*anomalies)),
-            ]),
-            ToSupervisor::Recovered { row } => Json::Obj(vec![
-                ("t".into(), Json::Str("recovered".into())),
-                ("row".into(), Json::Str(row.to_line())),
             ]),
             ToSupervisor::Fail { unit_id, error } => Json::Obj(vec![
                 ("t".into(), Json::Str("fail".into())),
@@ -479,25 +448,15 @@ impl ToSupervisor {
         match get_str(v, "t")? {
             "hello" => Ok(ToSupervisor::Hello {
                 pid: get_u64(v, "pid")? as u32,
-                worker_id: match v.get("wid") {
-                    None | Some(Json::Null) => None,
-                    Some(w) => Some(
-                        w.as_str()
-                            .ok_or_else(|| ProtocolError::Message("non-string field `wid`".into()))?
-                            .to_string(),
-                    ),
-                },
             }),
             "hb" => Ok(ToSupervisor::Heartbeat {
                 unit_id: get_u64(v, "id")?,
             }),
             "done" => Ok(ToSupervisor::Done {
                 unit_id: get_u64(v, "id")?,
-                row: decode_row(v)?,
+                row: ShardRow::from_line(get_str(v, "row")?)
+                    .map_err(|defect| ProtocolError::Message(format!("bad shard row: {defect}")))?,
                 anomalies: get_usize(v, "anomalies")?,
-            }),
-            "recovered" => Ok(ToSupervisor::Recovered {
-                row: decode_row(v)?,
             }),
             "fail" => Ok(ToSupervisor::Fail {
                 unit_id: get_u64(v, "id")?,
@@ -740,21 +699,13 @@ mod tests {
     #[test]
     fn worker_messages_roundtrip() {
         for msg in [
-            ToSupervisor::Hello {
-                pid: 1234,
-                worker_id: None,
-            },
-            ToSupervisor::Hello {
-                pid: 1234,
-                worker_id: Some("rack7-worker-2".into()),
-            },
+            ToSupervisor::Hello { pid: 1234 },
             ToSupervisor::Heartbeat { unit_id: 9 },
             ToSupervisor::Done {
                 unit_id: 9,
                 row: sample_row(),
                 anomalies: 1,
             },
-            ToSupervisor::Recovered { row: sample_row() },
             ToSupervisor::Fail {
                 unit_id: 10,
                 error: "fault cardinality must fit the cluster".into(),
@@ -764,17 +715,13 @@ mod tests {
             assert_eq!(back, msg);
         }
         // On the wire a row is exactly its shard line.
-        let done = ToSupervisor::Recovered { row: sample_row() }.to_json();
+        let done = ToSupervisor::Done {
+            unit_id: 9,
+            row: sample_row(),
+            anomalies: 1,
+        }
+        .to_json();
         assert_eq!(done.get("row"), Some(&Json::Str(sample_row().to_line())));
-    }
-
-    #[test]
-    fn hello_without_worker_id_omits_the_field() {
-        let msg = ToSupervisor::Hello {
-            pid: 7,
-            worker_id: None,
-        };
-        assert!(msg.to_json().get("wid").is_none());
     }
 
     #[test]

@@ -223,20 +223,12 @@ fn summary_json(store_len: usize, report: &crate::supervisor::FabricReport) -> J
             "units_completed".into(),
             Json::usize(report.units_completed),
         ),
-        (
-            "units_recovered".into(),
-            Json::usize(report.units_recovered),
-        ),
         ("retries".into(), Json::usize(report.retries)),
         (
             "workers_spawned".into(),
             Json::usize(report.workers_spawned),
         ),
         ("workers_lost".into(), Json::usize(report.workers_lost)),
-        (
-            "workers_rejoined".into(),
-            Json::usize(report.workers_rejoined),
-        ),
         ("quarantined".into(), Json::usize(report.quarantined.len())),
         ("gaps".into(), Json::usize(report.merge.gaps.len())),
         ("clean".into(), Json::Bool(report.is_clean())),
@@ -430,9 +422,6 @@ impl JobBackend for SweepBackend {
             on_event: Some(Box::new(move |ev: &FabricEvent| {
                 events_ctx.emit(ev.kind(), ev.to_json());
                 if let FabricEvent::UnitDone {
-                    completed, planned, ..
-                }
-                | FabricEvent::UnitRecovered {
                     completed, planned, ..
                 } = ev
                 {

@@ -115,7 +115,8 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The pre-integrity (v1) header, recognised by the migration shim.
+/// The pre-integrity (v1) header. The migration shim skips a v1 file's
+/// first line only when it is exactly this header.
 pub const LEGACY_CSV_HEADER: &str =
     "component,workload,faults,masked,sdc,crash,timeout,assert,cycles,instructions";
 
@@ -302,9 +303,14 @@ fn parse_lossy<F: Framed>(csv: &str) -> Result<(F, LoadAudit), StoreError> {
         version,
         ..LoadAudit::empty()
     };
-    // Line 1 is the version line (a legacy file's header); line 2 of a
-    // checksummed file is its header. Neither is a row.
-    let skip = if legacy.is_some() { 1 } else { 2 };
+    // A checksummed file's lines 1 and 2 are its version line and header.
+    // A legacy file's line 1 is a header only if it is exactly the v1
+    // header; anything else is a row, so it loads or is quarantined.
+    let skip = match legacy {
+        None => 2,
+        Some(_) if csv.lines().next().map(str::trim) == Some(LEGACY_CSV_HEADER) => 1,
+        Some(_) => 0,
+    };
     for (lineno, line) in csv.lines().enumerate().skip(skip) {
         if line.trim().is_empty() {
             continue;
@@ -1476,16 +1482,17 @@ mod tests {
     #[test]
     fn malformed_csv_rejected() {
         assert!(ResultStore::from_csv("header\nbad,row\n").is_err());
-        assert!(ResultStore::from_csv("h\nl1d,sha,1,a,b,c,d,e,f,g\n").is_err());
-        assert!(ResultStore::from_csv("h\nnope,sha,1,1,1,1,1,1,1,1\n").is_err());
+        let h = LEGACY_CSV_HEADER;
+        assert!(ResultStore::from_csv(&format!("{h}\nl1d,sha,1,a,b,c,d,e,f,g\n")).is_err());
+        assert!(ResultStore::from_csv(&format!("{h}\nnope,sha,1,1,1,1,1,1,1,1\n")).is_err());
     }
 
     #[test]
     fn garbage_and_truncation_return_typed_errors_not_panics() {
-        // Binary garbage.
+        // Binary garbage: not the v1 header, so line 1 is the first defect.
         let garbage = "\u{0}\u{1}\u{2}\nl1d,\u{fffd},x,y\n";
         match ResultStore::from_csv(garbage) {
-            Err(StoreError::Syntax { line, .. }) => assert_eq!(line, 2),
+            Err(StoreError::Syntax { line, .. }) => assert_eq!(line, 1),
             other => panic!("expected syntax error, got {other:?}"),
         }
         // A checkpoint whose last row was torn mid-write.
@@ -1501,10 +1508,12 @@ mod tests {
             "torn row is a syntax error: {err}"
         );
         // Negative and overflowing numeric fields (legacy format).
-        assert!(ResultStore::from_csv("h\nl1d,sha,1,-5,1,1,1,1,1,1\n").is_err());
-        assert!(
-            ResultStore::from_csv("h\nl1d,sha,1,999999999999999999999999,1,1,1,1,1,1\n").is_err()
-        );
+        let h = LEGACY_CSV_HEADER;
+        assert!(ResultStore::from_csv(&format!("{h}\nl1d,sha,1,-5,1,1,1,1,1,1\n")).is_err());
+        assert!(ResultStore::from_csv(&format!(
+            "{h}\nl1d,sha,1,999999999999999999999999,1,1,1,1,1,1\n"
+        ))
+        .is_err());
     }
 
     #[test]
@@ -1544,6 +1553,21 @@ mod tests {
         );
         // The strict path accepts them too.
         assert_eq!(ResultStore::from_csv(&legacy).unwrap().len(), 1);
+    }
+
+    /// Only the exact v1 header is skipped: a header-less v1 file keeps
+    /// its first row, and a garbage first line is quarantined as line 1.
+    #[test]
+    fn a_legacy_file_without_its_header_keeps_its_first_row() {
+        let rows = "l1d,sha,1,90,5,3,1,1,12345,6789\nl1i,sha,2,80,10,5,4,1,12345,6789\n";
+        let (store, audit) = ResultStore::from_csv_lossy(rows).unwrap();
+        assert_eq!(audit.version, StoreVersion::Legacy);
+        assert_eq!((store.len(), audit.rows_loaded), (2, 2));
+        assert!(audit.quarantined.is_empty());
+        let (store, audit) = ResultStore::from_csv_lossy(&format!("not,a,v1,row\n{rows}")).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(audit.quarantined.len(), 1);
+        assert_eq!(audit.quarantined[0].line, 1);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! The distributed-sweep supervisor: spawns worker processes (or adopts
-//! TCP-connected ones), assigns [`UnitSpec`] work units, and treats every
-//! worker as unreliable.
+//! The distributed-sweep supervisor: spawns `repro worker` processes over
+//! stdio pipes, assigns [`UnitSpec`] work units, and treats every worker as
+//! unreliable.
 //!
 //! Fault model and responses:
 //!
-//! * **Lost worker** (process exit, broken pipe, closed socket) — the
-//!   in-flight unit is retried on a surviving worker with bounded backoff,
-//!   ahead of every planned unit once the backoff has passed, so it does
-//!   not become the sweep's tail; a replacement process is spawned (local
-//!   pools only). Logged as a [`AnomalyKind::WorkerLost`] anomaly so
-//!   degraded sweeps are auditable.
+//! * **Lost worker** (process exit, broken pipe) — the in-flight unit is
+//!   retried on a surviving worker with bounded backoff, ahead of every
+//!   planned unit once the backoff has passed, so it does not become the
+//!   sweep's tail; a replacement process is spawned. Logged as a
+//!   [`AnomalyKind::WorkerLost`] anomaly so degraded sweeps are auditable.
 //! * **Stalled worker** (no message for [`FabricConfig::stall_timeout`]) —
 //!   killed and treated as lost ([`AnomalyKind::WorkerStall`]). A hung
 //!   worker stops heartbeating, so this is the reclaim path for freezes.
@@ -48,7 +47,7 @@ use crate::protocol::{
     read_frame, unit_to_json, write_frame, ExpSpec, Json, ProtocolError, ToSupervisor, ToWorker,
 };
 use crate::source::{FaultSource, UnitSpace};
-use crate::store::{Key, ResultStore, ShardRow, ShardStore, StoreError};
+use crate::store::{Key, ResultStore, StoreError};
 use crate::Experiments;
 use mbu_cpu::HwComponent;
 use mbu_gefin::campaign::{Anomaly, AnomalyKind, AnomalyLog, UnitSpec};
@@ -58,9 +57,8 @@ use mbu_workloads::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -286,8 +284,6 @@ pub enum FabricEvent {
         slot: usize,
         /// The worker's OS process id.
         pid: u32,
-        /// Whether this is a lost TCP worker rejoining under its old id.
-        rejoined: bool,
     },
     /// A worker was declared dead (crash, stall, protocol garbage).
     WorkerLost {
@@ -306,19 +302,7 @@ pub enum FabricEvent {
         runs: u64,
         /// Anomalies the campaign logged.
         anomalies: usize,
-        /// Units finished so far (completed + recovered).
-        completed: usize,
-        /// Units planned this invocation.
-        planned: usize,
-    },
-    /// A requeued unit was retired from a rejoining worker's replayed
-    /// shard row instead of being re-run.
-    UnitRecovered {
-        /// The recovered unit.
-        unit: UnitSpec,
-        /// Worker slot whose shard store held it.
-        worker: usize,
-        /// Units finished so far (completed + recovered).
+        /// Units completed so far.
         completed: usize,
         /// Units planned this invocation.
         planned: usize,
@@ -374,7 +358,6 @@ impl FabricEvent {
             FabricEvent::WorkerReady { .. } => "worker-ready",
             FabricEvent::WorkerLost { .. } => "worker-lost",
             FabricEvent::UnitDone { .. } => "unit-done",
-            FabricEvent::UnitRecovered { .. } => "unit-recovered",
             FabricEvent::UnitFailed { .. } => "unit-failed",
             FabricEvent::Quarantined { .. } => "quarantined",
             FabricEvent::DiskPressure { .. } => "disk-pressure",
@@ -391,14 +374,9 @@ impl FabricEvent {
                 fields.push(("units".into(), Json::usize(*units)));
                 fields.push(("campaigns".into(), Json::usize(*campaigns)));
             }
-            FabricEvent::WorkerReady {
-                slot,
-                pid,
-                rejoined,
-            } => {
+            FabricEvent::WorkerReady { slot, pid } => {
                 fields.push(("slot".into(), Json::usize(*slot)));
                 fields.push(("pid".into(), Json::u64(*pid as u64)));
-                fields.push(("rejoined".into(), Json::Bool(*rejoined)));
             }
             FabricEvent::WorkerLost { slot, detail } => {
                 fields.push(("slot".into(), Json::usize(*slot)));
@@ -416,17 +394,6 @@ impl FabricEvent {
                 fields.push(("worker".into(), Json::usize(*worker)));
                 fields.push(("runs".into(), Json::u64(*runs)));
                 fields.push(("anomalies".into(), Json::usize(*anomalies)));
-                fields.push(("completed".into(), Json::usize(*completed)));
-                fields.push(("planned".into(), Json::usize(*planned)));
-            }
-            FabricEvent::UnitRecovered {
-                unit,
-                worker,
-                completed,
-                planned,
-            } => {
-                fields.push(("unit".into(), unit_to_json(unit)));
-                fields.push(("worker".into(), Json::usize(*worker)));
                 fields.push(("completed".into(), Json::usize(*completed)));
                 fields.push(("planned".into(), Json::usize(*planned)));
             }
@@ -505,12 +472,6 @@ pub struct FabricReport {
     pub workers_spawned: usize,
     /// Workers lost to crashes, stalls or protocol garbage.
     pub workers_lost: usize,
-    /// Lost TCP workers that reconnected under their old worker id and
-    /// rejoined the pool.
-    pub workers_rejoined: usize,
-    /// Units retired from a rejoining worker's replayed shard rows
-    /// instead of being re-run.
-    pub units_recovered: usize,
     /// Whether the sweep was cancelled before finishing (partial results
     /// merged; shard dir resumable).
     pub cancelled: bool,
@@ -536,56 +497,19 @@ impl FabricReport {
     }
 }
 
-/// How the supervisor acquires workers.
+/// How the supervisor acquires workers: it spawns `repro worker` child
+/// processes over stdio pipes and respawns replacements for lost ones.
+/// There is no other way, so this one-variant enum stays only because the
+/// reference benchmark passes it to [`Supervisor::run_with`].
 pub enum WorkerPool {
-    /// Spawn `repro worker` child processes over stdio pipes, respawning
-    /// replacements for lost ones.
+    /// Spawn local worker processes.
     Spawn,
-    /// Adopt workers that connect to this listener (`repro serve`); the
-    /// supervisor keeps accepting for the whole sweep, so a lost remote
-    /// worker that reconnects under its old `--id` rejoins the pool and
-    /// replays its durable shard rows instead of re-running them.
-    Tcp(TcpListener),
 }
 
-/// One worker's transport.
-enum Link {
-    Local {
-        child: Child,
-        stdin: BufWriter<ChildStdin>,
-    },
-    Remote(TcpStream),
-}
-
-impl Link {
-    fn send(&mut self, msg: &ToWorker) -> std::io::Result<()> {
-        match self {
-            Link::Local { stdin, .. } => write_frame(stdin, &msg.to_json()),
-            Link::Remote(stream) => write_frame(stream, &msg.to_json()),
-        }
-    }
-
-    fn kill(&mut self) {
-        match self {
-            Link::Local { child, .. } => {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            Link::Remote(stream) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    fn wait(&mut self) {
-        if let Link::Local { child, .. } = self {
-            let _ = child.wait();
-        }
-    }
-}
-
+/// One spawned worker process and its control stream.
 struct Slot {
-    link: Link,
+    child: Child,
+    stdin: BufWriter<ChildStdin>,
     /// Hello received; eligible for assignments.
     ready: bool,
     alive: bool,
@@ -593,9 +517,17 @@ struct Slot {
     busy: Option<u64>,
     /// Last message of any kind (stall detection).
     last_seen: Instant,
-    /// The stable worker id announced in Hello, if any (TCP session
-    /// resume: a reconnecting worker re-registers under the same id).
-    worker_id: Option<String>,
+}
+
+impl Slot {
+    fn send(&mut self, msg: &ToWorker) -> std::io::Result<()> {
+        write_frame(&mut self.stdin, &msg.to_json())
+    }
+
+    fn kill(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -642,14 +574,10 @@ pub struct Supervisor<'a> {
     in_flight: BTreeMap<u64, Flight>,
     next_unit_id: u64,
     report: FabricReport,
-    can_respawn: bool,
     /// The chaos targets parsed from `MBU_CHAOS_WORKER`, each armed once.
     chaos_targets: Vec<(usize, String)>,
     /// Event sink and cancellation flag.
     opts: SweepOptions,
-    /// Late TCP connections (rejoining workers) arrive here from the
-    /// acceptor thread after the initial pool is adopted.
-    conn_rx: Option<mpsc::Receiver<TcpStream>>,
     /// Replacement spawns owed for lost workers; paid down from the
     /// scheduler tick while the circuit breaker is closed.
     respawn_deficit: usize,
@@ -667,7 +595,7 @@ pub struct Supervisor<'a> {
 
 fn spawn_reader(
     index: usize,
-    reader: impl std::io::Read + Send + 'static,
+    reader: ChildStdout,
     tx: mpsc::Sender<(usize, Result<ToSupervisor, ProtocolError>)>,
 ) {
     std::thread::spawn(move || {
@@ -686,7 +614,7 @@ fn spawn_reader(
 
 impl<'a> Supervisor<'a> {
     /// Plans a sampled sweep over `components` and runs it to completion
-    /// on the given pool, returning the merged accounting. The merged
+    /// on spawned workers, returning the merged accounting. The merged
     /// final store is saved to `out_csv` atomically.
     ///
     /// # Errors
@@ -757,14 +685,9 @@ impl<'a> Supervisor<'a> {
         pool: WorkerPool,
         opts: SweepOptions,
     ) -> Result<(ResultStore, FabricReport), FabricError> {
+        let WorkerPool::Spawn = pool;
         std::fs::create_dir_all(shard_dir)?;
-        let mut sup = Supervisor::new(
-            exp,
-            config,
-            shard_dir,
-            matches!(pool, WorkerPool::Spawn),
-            opts,
-        );
+        let mut sup = Supervisor::new(exp, config, shard_dir, opts);
         // Golden fingerprints per workload: the freshness reference for
         // resume skipping, shard-row validation and the final merge.
         for &w in &exp.workloads {
@@ -795,13 +718,8 @@ impl<'a> Supervisor<'a> {
             sup.report.cancelled = true;
             sup.emit(FabricEvent::Cancelled);
         } else if !sup.pending.is_empty() {
-            match pool {
-                WorkerPool::Spawn => {
-                    for _ in 0..config.workers {
-                        sup.spawn_worker()?;
-                    }
-                }
-                WorkerPool::Tcp(listener) => sup.accept_workers(listener)?,
+            for _ in 0..config.workers {
+                sup.spawn_worker()?;
             }
             sup.schedule()?;
             sup.shutdown_workers();
@@ -815,7 +733,6 @@ impl<'a> Supervisor<'a> {
         exp: &'a Experiments,
         config: &'a FabricConfig,
         shard_dir: &Path,
-        can_respawn: bool,
         opts: SweepOptions,
     ) -> Self {
         let (events_tx, events) = mpsc::channel();
@@ -832,10 +749,8 @@ impl<'a> Supervisor<'a> {
             in_flight: BTreeMap::new(),
             next_unit_id: 0,
             report: FabricReport::default(),
-            can_respawn,
             chaos_targets: crate::chaos::WorkerChaos::targets_from_env(),
             opts,
-            conn_rx: None,
             respawn_deficit: 0,
             consecutive_losses: 0,
             breaker_open_until: None,
@@ -963,9 +878,10 @@ impl<'a> Supervisor<'a> {
         self.shard_dir.join(format!("worker-{slot:03}.csv"))
     }
 
-    /// Spawns one local worker process, arming the chaos fault aimed at
-    /// its slot index. Every spawn takes a fresh index and each fault is
-    /// armed once, so a kill fault cannot loop.
+    /// Spawns one worker process (`worker --shard <path>`), appending
+    /// `--fault <spec>` when a chaos fault is aimed at its slot index.
+    /// Every spawn takes a fresh index and each fault is armed once, so a
+    /// kill fault cannot loop.
     fn spawn_worker(&mut self) -> Result<(), FabricError> {
         let index = self.slots.len();
         let exe = std::env::current_exe()?;
@@ -973,8 +889,6 @@ impl<'a> Supervisor<'a> {
         cmd.arg("worker")
             .arg("--shard")
             .arg(self.shard_path(index))
-            .env_remove(crate::chaos::CHAOS_WORKER_ENV)
-            .env_remove(crate::chaos::WORKER_FAULT_ENV)
             .env(
                 "MBU_HEARTBEAT_MS",
                 self.config.heartbeat.as_millis().to_string(),
@@ -985,118 +899,25 @@ impl<'a> Supervisor<'a> {
         if let Some(at) = self.chaos_targets.iter().position(|(t, _)| *t == index) {
             // Armed exactly once.
             let (_, fault) = self.chaos_targets.remove(at);
-            cmd.env(crate::chaos::WORKER_FAULT_ENV, fault);
+            cmd.arg("--fault").arg(fault);
         }
         let mut child = cmd.spawn()?;
         let stdout = child.stdout.take().expect("stdout was piped");
         let stdin = child.stdin.take().expect("stdin was piped");
         spawn_reader(index, stdout, self.events_tx.clone());
         self.slots.push(Slot {
-            link: Link::Local {
-                child,
-                stdin: BufWriter::new(stdin),
-            },
+            child,
+            stdin: BufWriter::new(stdin),
             ready: false,
             alive: true,
             busy: None,
             last_seen: Instant::now(),
-            worker_id: None,
         });
         self.report.workers_spawned += 1;
         if self.config.verbose {
             eprintln!("fabric: spawned worker {index}");
         }
         Ok(())
-    }
-
-    /// Accepts `workers` TCP connections as the initial worker pool, then
-    /// keeps the listener alive on an acceptor thread so lost workers can
-    /// reconnect and rejoin mid-sweep.
-    fn accept_workers(&mut self, listener: TcpListener) -> Result<(), FabricError> {
-        eprintln!(
-            "fabric: waiting for {} worker(s) on {}",
-            self.config.workers,
-            listener.local_addr()?
-        );
-        let (tx, rx) = mpsc::channel();
-        let accept = listener.try_clone()?;
-        std::thread::spawn(move || {
-            // Runs for the life of the process; dies when accept fails or
-            // the supervisor drops the receiver.
-            while let Ok((stream, _)) = accept.accept() {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-        });
-        drop(listener);
-        for _ in 0..self.config.workers {
-            let stream = rx
-                .recv()
-                .map_err(|_| std::io::Error::other("TCP acceptor thread died"))?;
-            self.adopt_remote(stream)?;
-        }
-        self.conn_rx = Some(rx);
-        Ok(())
-    }
-
-    /// Adopts one remote TCP connection as a new worker slot.
-    fn adopt_remote(&mut self, stream: TcpStream) -> Result<(), FabricError> {
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "?".into());
-        let index = self.slots.len();
-        spawn_reader(index, stream.try_clone()?, self.events_tx.clone());
-        self.slots.push(Slot {
-            link: Link::Remote(stream),
-            ready: false,
-            alive: true,
-            busy: None,
-            last_seen: Instant::now(),
-            worker_id: None,
-        });
-        self.report.workers_spawned += 1;
-        eprintln!("fabric: worker {index} connected from {peer}");
-        Ok(())
-    }
-
-    /// Adopts any TCP connections that arrived since the last tick
-    /// (reconnecting workers).
-    fn poll_new_connections(&mut self) -> Result<(), FabricError> {
-        let Some(rx) = self.conn_rx.take() else {
-            return Ok(());
-        };
-        while let Ok(stream) = rx.try_recv() {
-            self.adopt_remote(stream)?;
-        }
-        self.conn_rx = Some(rx);
-        Ok(())
-    }
-
-    /// Blocks (bounded by the stall timeout) for one reconnecting TCP
-    /// worker when the pool is otherwise exhausted. Returns whether a
-    /// connection was adopted.
-    fn await_reconnect(&mut self) -> Result<bool, FabricError> {
-        let Some(rx) = self.conn_rx.take() else {
-            return Ok(false);
-        };
-        eprintln!(
-            "fabric: all workers lost; waiting up to {:.1}s for a reconnect",
-            self.config.stall_timeout.as_secs_f64()
-        );
-        match rx.recv_timeout(self.config.stall_timeout) {
-            Ok(stream) => {
-                self.adopt_remote(stream)?;
-                self.conn_rx = Some(rx);
-                Ok(true)
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.conn_rx = Some(rx);
-                Ok(false)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(false),
-        }
     }
 
     /// Takes the next unit to dispatch, if any is eligible now (a retry
@@ -1130,7 +951,7 @@ impl<'a> Supervisor<'a> {
                 state.attempts + 1
             );
         }
-        match self.slots[slot].link.send(&msg) {
+        match self.slots[slot].send(&msg) {
             Ok(()) => {
                 self.slots[slot].busy = Some(unit_id);
                 self.slots[slot].last_seen = Instant::now();
@@ -1168,7 +989,7 @@ impl<'a> Supervisor<'a> {
         }
         self.slots[slot].alive = false;
         self.slots[slot].ready = false;
-        self.slots[slot].link.kill();
+        self.slots[slot].kill();
         self.report.workers_lost += 1;
         self.consecutive_losses += 1;
         self.emit(FabricEvent::WorkerLost {
@@ -1191,7 +1012,7 @@ impl<'a> Supervisor<'a> {
         } else if self.config.verbose {
             eprintln!("fabric: idle worker {slot} dropped ({detail})");
         }
-        if self.can_respawn && !(self.pending.is_empty() && self.in_flight.is_empty()) {
+        if !(self.pending.is_empty() && self.in_flight.is_empty()) {
             // Replacements stay bounded: each loss owes at most one spawn.
             self.respawn_deficit += 1;
             if self.consecutive_losses >= self.config.breaker_trip
@@ -1223,7 +1044,7 @@ impl<'a> Supervisor<'a> {
     /// Pays down owed replacement spawns, but only while the circuit
     /// breaker is closed. Called from the scheduler tick.
     fn pump_respawns(&mut self) -> Result<(), FabricError> {
-        if !self.can_respawn || self.respawn_deficit == 0 {
+        if self.respawn_deficit == 0 {
             return Ok(());
         }
         if let Some(until) = self.breaker_open_until {
@@ -1362,8 +1183,6 @@ impl<'a> Supervisor<'a> {
     fn schedule(&mut self) -> Result<(), FabricError> {
         let tick = Duration::from_millis(50);
         loop {
-            // Adopt any reconnecting TCP workers before dispatching.
-            self.poll_new_connections()?;
             // Pay down owed replacement spawns (breaker permitting) and
             // probe the disk-space governor.
             self.pump_respawns()?;
@@ -1400,20 +1219,13 @@ impl<'a> Supervisor<'a> {
             if self.pending.is_empty() && self.in_flight.is_empty() {
                 return Ok(());
             }
-            if !self.slots.iter().any(|s| s.alive) {
-                if self.can_respawn && self.respawn_deficit > 0 {
-                    // Replacements are owed but the breaker is open (or
-                    // about to pay them down next tick); keep ticking
-                    // through the cooldown instead of declaring the pool
-                    // exhausted.
-                } else if self.await_reconnect()? {
-                    // A rejoining TCP worker can still save the sweep.
-                    continue;
-                } else {
-                    return Err(FabricError::WorkersExhausted {
-                        pending: self.pending.len() + self.in_flight.len(),
-                    });
-                }
+            // With no worker alive, owed replacements (held by an open
+            // breaker, or paid down next tick) keep the sweep ticking
+            // through the cooldown; with none owed, the pool is exhausted.
+            if self.respawn_deficit == 0 && !self.slots.iter().any(|s| s.alive) {
+                return Err(FabricError::WorkersExhausted {
+                    pending: self.pending.len() + self.in_flight.len(),
+                });
             }
             match self.events.recv_timeout(tick) {
                 Ok((slot, Ok(msg))) => self.on_message(slot, msg)?,
@@ -1434,41 +1246,6 @@ impl<'a> Supervisor<'a> {
         }
     }
 
-    /// Takes the still-pending unit that the replayed durable row `row`
-    /// completes (finished but never acknowledged before its worker died)
-    /// off the queue instead of re-running it, and counts it recovered.
-    /// An in-flight duplicate is left alone — the merge dedups rows. So is
-    /// a stale row, and a row of the other kind of sweep for the same key
-    /// (a shard file shared across sweeps): its flavour is not the one the
-    /// campaign's planned source writes.
-    fn recover_unit(&mut self, row: &ShardRow) -> Option<UnitSpec> {
-        let planned = self
-            .plan
-            .get(&row.unit.campaign_key())
-            .is_some_and(|&(source, _)| source == FaultSource::of_row(row));
-        let fresh = planned
-            && row.seed == self.exp.seed
-            && self.expected.get(&row.unit.workload) == Some(&row.fingerprint);
-        if !fresh {
-            return None;
-        }
-        let i = self.pending.iter().position(|u| u.spec == row.unit)?;
-        self.report.units_recovered += 1;
-        Some(self.pending.remove(i).spec)
-    }
-
-    /// Appends a row a remote worker sent to the supervisor's own shard
-    /// store: that worker's shard file is on another machine, and the merge
-    /// reads only this directory. (A local worker's row is already in its
-    /// shard file here; a copy would merely duplicate.)
-    fn persist_remote(&self, slot: usize, row: &ShardRow) -> Result<(), FabricError> {
-        if matches!(self.slots[slot].link, Link::Remote(_)) {
-            let path = self.shard_dir.join("supervisor.csv");
-            ShardStore::append_row_with(&RealIo, &path, row)?;
-        }
-        Ok(())
-    }
-
     fn on_message(&mut self, slot: usize, msg: ToSupervisor) -> Result<(), FabricError> {
         if !self.slots[slot].alive {
             // Late message from a worker already declared dead; its rows
@@ -1477,57 +1254,12 @@ impl<'a> Supervisor<'a> {
         }
         self.slots[slot].last_seen = Instant::now();
         match msg {
-            ToSupervisor::Hello { pid, worker_id } => {
+            ToSupervisor::Hello { pid } => {
                 self.slots[slot].ready = true;
-                let mut rejoined = false;
-                if let Some(id) = &worker_id {
-                    rejoined =
-                        self.slots.iter().enumerate().any(|(i, s)| {
-                            i != slot && !s.alive && s.worker_id.as_deref() == Some(id)
-                        });
-                    if rejoined {
-                        self.report.workers_rejoined += 1;
-                        self.report.anomalies.record(Anomaly {
-                            run_index: 0,
-                            run_seed: self.exp.seed,
-                            kind: AnomalyKind::WorkerRejoined,
-                            message: format!(
-                                "worker `{id}` reconnected as slot {slot}; durable shard \
-                                 rows will be recovered instead of re-run"
-                            ),
-                        });
-                    }
-                }
-                self.slots[slot].worker_id = worker_id;
                 if self.config.verbose {
-                    eprintln!(
-                        "fabric: worker {slot} ready (pid {pid}{})",
-                        if rejoined { ", rejoined" } else { "" }
-                    );
+                    eprintln!("fabric: worker {slot} ready (pid {pid})");
                 }
-                self.emit(FabricEvent::WorkerReady {
-                    slot,
-                    pid,
-                    rejoined,
-                });
-            }
-            ToSupervisor::Recovered { row } => {
-                // A reconnecting worker replayed a durable shard row.
-                self.persist_remote(slot, &row)?;
-                if let Some(unit) = self.recover_unit(&row) {
-                    if self.config.verbose {
-                        eprintln!(
-                            "fabric: unit {unit} recovered from worker {slot}'s shard \
-                             (completed before its previous session died)"
-                        );
-                    }
-                    self.emit(FabricEvent::UnitRecovered {
-                        unit,
-                        worker: slot,
-                        completed: self.report.units_completed + self.report.units_recovered,
-                        planned: self.report.units_planned,
-                    });
-                }
+                self.emit(FabricEvent::WorkerReady { slot, pid });
             }
             // Liveness only: `last_seen` was refreshed above.
             ToSupervisor::Heartbeat { .. } => {}
@@ -1556,11 +1288,10 @@ impl<'a> Supervisor<'a> {
                         worker: slot,
                         runs: row.counts.total(),
                         anomalies,
-                        completed: self.report.units_completed + self.report.units_recovered,
+                        completed: self.report.units_completed,
                         planned: self.report.units_planned,
                     });
                 }
-                self.persist_remote(slot, &row)?;
             }
             ToSupervisor::Fail { unit_id, error } => {
                 if self.slots[slot].busy == Some(unit_id) {
@@ -1634,12 +1365,12 @@ impl<'a> Supervisor<'a> {
     fn shutdown_workers(&mut self) {
         for slot in &mut self.slots {
             if slot.alive {
-                let _ = slot.link.send(&ToWorker::Shutdown);
+                let _ = slot.send(&ToWorker::Shutdown);
             }
         }
         for slot in &mut self.slots {
             if slot.alive {
-                slot.link.wait();
+                let _ = slot.child.wait();
             }
         }
     }
@@ -1756,62 +1487,6 @@ mod tests {
         assert_eq!(c.unit_size(5), 5);
     }
 
-    /// A rejoining worker's shard file may hold rows of the other kind of
-    /// sweep: a replayed row retires a pending unit only when its flavour
-    /// is the one the campaign's planned source writes.
-    #[test]
-    fn replayed_row_retires_only_a_unit_of_its_own_flavour() {
-        use crate::store::ShardExhaustive;
-        use mbu_gefin::classify::ClassCounts;
-
-        let exp = Experiments {
-            workloads: vec![Workload::Sha],
-            ..Experiments::default()
-        };
-        let config = FabricConfig::default();
-        let dir = std::env::temp_dir().join("mbu-recover-unit-test");
-        let mut sup = Supervisor::new(&exp, &config, &dir, false, SweepOptions::default());
-        let key = (HwComponent::DTlb, Workload::Sha, 1);
-        let fp = GoldenFingerprint(0xFEED);
-        sup.expected.insert(Workload::Sha, fp);
-        sup.plan.insert(key, (FaultSource::Exhaustive, 40));
-        let unit = UnitSpec {
-            component: key.0,
-            workload: key.1,
-            faults: key.2,
-            start: 0,
-            end: 10,
-        };
-        sup.pending.push(UnitState::new(unit, Instant::now()));
-        let sampled = ShardRow {
-            unit,
-            seed: exp.seed,
-            counts: ClassCounts::new(),
-            fault_free_cycles: 0,
-            fault_free_instructions: 0,
-            fingerprint: fp,
-            exhaustive: None,
-        };
-        let class_range = ShardRow {
-            exhaustive: Some(ShardExhaustive {
-                weighted: ClassCounts::new(),
-                weight_total: 100,
-                pruned: 0,
-                stratified: None,
-            }),
-            ..sampled.clone()
-        };
-        // The same `UnitSpec` from a sampled sweep leaves the class unit
-        // pending.
-        assert_eq!(sup.recover_unit(&sampled), None);
-        assert_eq!(sup.pending.len(), 1);
-        assert_eq!(sup.report.units_recovered, 0);
-        // The class-range row the unit itself writes retires it.
-        assert_eq!(sup.recover_unit(&class_range), Some(unit));
-        assert!(sup.pending.is_empty());
-        assert_eq!(sup.report.units_recovered, 1);
-    }
-
     /// A unit lost with its worker goes out before every planned unit once
     /// its backoff is over, instead of waiting behind them all.
     #[test]
@@ -1819,7 +1494,7 @@ mod tests {
         let exp = Experiments::default();
         let config = FabricConfig::default();
         let dir = std::env::temp_dir().join("mbu-next-pending-test");
-        let mut sup = Supervisor::new(&exp, &config, &dir, false, SweepOptions::default());
+        let mut sup = Supervisor::new(&exp, &config, &dir, SweepOptions::default());
         let unit = |start, end| UnitSpec {
             component: HwComponent::DTlb,
             workload: Workload::Sha,

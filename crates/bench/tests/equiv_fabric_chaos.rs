@@ -49,7 +49,6 @@ fn run_exhaustive(
         cmd.arg("--workers").arg(workers.to_string());
     }
     cmd.env_remove("MBU_CHAOS_WORKER")
-        .env_remove("MBU_CHAOS_FAULT")
         .env("MBU_WORKLOADS", WORKLOAD);
     if let Some(spec) = chaos {
         cmd.env("MBU_CHAOS_WORKER", spec);

@@ -73,7 +73,6 @@ fn run_sweep(
         .arg("--shards")
         .arg(&shards)
         .env_remove("MBU_CHAOS_WORKER")
-        .env_remove("MBU_CHAOS_FAULT")
         .env("MBU_RUNS", RUNS.to_string())
         .env("MBU_WORKLOADS", WORKLOAD.name());
     if let Some(spec) = chaos {
@@ -163,7 +162,6 @@ fn supervisor_crash_resumes_without_losing_completed_runs() {
         .arg("--shards")
         .arg(&shards)
         .env_remove("MBU_CHAOS_WORKER")
-        .env_remove("MBU_CHAOS_FAULT")
         .env("MBU_RUNS", RUNS.to_string())
         .env("MBU_WORKLOADS", WORKLOAD.name())
         .stderr(std::process::Stdio::null())

@@ -148,9 +148,9 @@ fn every_readme_row_names_a_knob_the_code_reads() {
 /// The knob count only moves visibly: a change that adds or retires an
 /// `MBU_*` name moves this pin with it.
 #[test]
-fn the_knob_table_holds_exactly_27_knobs() {
+fn the_knob_table_holds_exactly_26_knobs() {
     let table = documented();
-    assert_eq!(table.len(), 27, "{table:?}");
+    assert_eq!(table.len(), 26, "{table:?}");
 }
 
 #[test]

@@ -62,7 +62,6 @@ impl Daemon {
             .arg("--state")
             .arg(state)
             .env_remove("MBU_CHAOS_WORKER")
-            .env_remove("MBU_CHAOS_FAULT")
             .env_remove("MBU_CHAOS_DISK_FILE")
             .env("MBU_WORKLOADS", WORKLOAD.name())
             .stdout(Stdio::null())

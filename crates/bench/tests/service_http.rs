@@ -8,7 +8,7 @@
 //! > resumable shard directory — errors are structured JSON, never
 //! > connection drops.
 
-use mbu_bench::{Experiments, FabricConfig, ResultStore, Supervisor, WorkerPool};
+use mbu_bench::{Experiments, ResultStore};
 use mbu_cpu::HwComponent;
 use mbu_serve::http;
 use mbu_workloads::Workload;
@@ -87,7 +87,6 @@ fn daemon_cmd(state: &Path, env: &[(&str, &str)]) -> Command {
         .arg("--state")
         .arg(state)
         .env_remove("MBU_CHAOS_WORKER")
-        .env_remove("MBU_CHAOS_FAULT")
         .env_remove("MBU_HTTP_MAX_JOBS")
         .env_remove("MBU_HTTP_QUEUE")
         .env("MBU_WORKLOADS", WORKLOAD.name())
@@ -301,7 +300,7 @@ fn structured_errors_queue_limits_and_typed_env_knobs() {
 }
 
 /// Cancelling mid-sweep drains in-flight units and leaves the job's shard
-/// directory resumable: a follow-up supervisor run over the same state
+/// directory resumable: a follow-up `repro sweep` over the same state
 /// skips the durable coverage and completes byte-identically.
 #[test]
 fn cancellation_leaves_resumable_shards() {
@@ -336,57 +335,35 @@ fn cancellation_leaves_resumable_shards() {
     drop(daemon);
 
     // The job directory is a valid resume point: partial merged CSV plus
-    // durable shards. A fresh supervisor run completes the sweep, skipping
+    // durable shards. `repro sweep` over it completes the sweep, skipping
     // what the cancelled run already banked.
     let job_dir = dir.join("jobs").join(&id);
     let shard_dir = job_dir.join("shards");
     assert!(shard_dir.is_dir(), "cancelled job must keep its shards");
-    let e = Experiments {
-        runs: 10,
-        workloads: vec![WORKLOAD],
-        ..Experiments::default()
-    };
-    let config = FabricConfig {
-        workers: 2,
-        ..FabricConfig::default()
-    };
     let out_csv = job_dir.join("measured.csv");
-    // `WorkerPool::Spawn` re-execs the current binary, which in a test
-    // harness is not `repro` — adopt real workers over TCP instead.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let worker_addr = listener.local_addr().unwrap().to_string();
-    let mut workers: Vec<Child> = (0..2)
-        .map(|i| {
-            Command::new(env!("CARGO_BIN_EXE_repro"))
-                .arg("worker")
-                .arg("--connect")
-                .arg(&worker_addr)
-                .arg("--shard")
-                .arg(shard_dir.join(format!("resume-{i}.csv")))
-                .env_remove("MBU_CHAOS_WORKER")
-                .env_remove("MBU_CHAOS_FAULT")
-                .stdout(Stdio::null())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("resume worker spawns")
-        })
-        .collect();
-    let (_, report) = Supervisor::run(
-        &e,
-        &COMPONENTS,
-        &config,
-        &shard_dir,
-        &out_csv,
-        WorkerPool::Tcp(listener),
-    )
-    .expect("resume sweep");
-    for w in &mut workers {
-        let _ = w.wait();
-    }
-    assert!(report.is_clean(), "resume must complete: {report:?}");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["sweep", "--workers", "2", "--components", "l1d,l1i,l2"])
+        .arg("--shards")
+        .arg(&shard_dir)
+        .arg("--out")
+        .arg(&out_csv)
+        .env("MBU_RUNS", "10")
+        .env("MBU_WORKLOADS", WORKLOAD.name())
+        .env_remove("MBU_CHAOS_WORKER")
+        .env_remove("MBU_CHAOS_DISK_FILE")
+        .output()
+        .expect("resume sweep spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume must complete:\n{stderr}");
+    let resumed: usize = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("fabric: resumed — "))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0);
     assert!(
-        report.skipped_existing >= 1,
-        "resume must skip the coverage the cancelled run banked: {report:?}"
+        resumed >= 1,
+        "resume must skip the coverage the cancelled run banked:\n{stderr}"
     );
     assert_eq!(
         std::fs::read_to_string(&out_csv).unwrap(),

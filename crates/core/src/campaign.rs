@@ -378,10 +378,6 @@ pub enum AnomalyKind {
     /// are missing from the merged store) instead of aborting or silently
     /// retrying forever.
     UnitQuarantined,
-    /// A TCP worker that had been declared lost reconnected with the same
-    /// worker id and rejoined the pool; units it had persisted but never
-    /// acknowledged were recovered from its shard store instead of re-run.
-    WorkerRejoined,
     /// Free disk space under the shard directory fell below the configured
     /// watermark; the supervisor paused assigning new units (pending work
     /// queued, shard appends stopped) until space recovered, instead of
@@ -399,7 +395,6 @@ impl fmt::Display for AnomalyKind {
             AnomalyKind::WorkerStall => f.write_str("worker-stall"),
             AnomalyKind::ProtocolGarbage => f.write_str("protocol-garbage"),
             AnomalyKind::UnitQuarantined => f.write_str("unit-quarantined"),
-            AnomalyKind::WorkerRejoined => f.write_str("worker-rejoined"),
             AnomalyKind::DiskPressure => f.write_str("disk-pressure"),
         }
     }

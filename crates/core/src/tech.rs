@@ -154,13 +154,6 @@ pub mod projected {
     }
 }
 
-/// The single-bit-only AVF baseline for a node (what a single-bit-only
-/// assessment would report — identical for every node, and equal to the
-/// 250 nm value, as the paper's Fig. 7 green bars show).
-pub fn single_bit_avf(avf: &ComponentAvf) -> f64 {
-    avf.single
-}
-
 /// The *assessment gap*: the relative error of a single-bit-only analysis
 /// at this node, `(Node_AVF − AVF₁) / AVF₁` (e.g. 35 % for the register
 /// file at 22 nm).

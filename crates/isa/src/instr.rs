@@ -649,11 +649,6 @@ impl Instruction {
         matches!(self, Instruction::J { .. } | Instruction::Jal { .. })
     }
 
-    /// Whether this is a memory load.
-    pub fn is_load(&self) -> bool {
-        matches!(self, Instruction::Load { .. })
-    }
-
     /// Whether this is a memory store.
     pub fn is_store(&self) -> bool {
         matches!(self, Instruction::Store { .. })

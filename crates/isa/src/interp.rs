@@ -105,11 +105,6 @@ impl FlatMemory {
         }
     }
 
-    /// Whether `addr` is mapped.
-    pub fn is_mapped(&self, addr: u32) -> bool {
-        self.pages.contains_key(&(addr / PAGE_SIZE))
-    }
-
     /// Reads one byte; `None` if unmapped.
     pub fn read_u8(&self, addr: u32) -> Option<u8> {
         self.pages

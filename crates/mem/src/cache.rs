@@ -148,15 +148,6 @@ impl CacheConfig {
     }
 }
 
-/// Which internal SRAM array of a cache to target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheArray {
-    /// The line data array (default target; Table VIII bit counts).
-    Data,
-    /// The tag array (tag, valid and dirty bits) — ablation target.
-    Tag,
-}
-
 /// Hit/miss/write-back counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -517,26 +508,6 @@ impl Cache {
             }
         }
         true
-    }
-
-    /// Geometry of one internal array.
-    pub fn array_geometry(&self, array: CacheArray) -> Geometry {
-        match array {
-            CacheArray::Data => self.injectable_geometry(),
-            CacheArray::Tag => self.tag_geometry(),
-        }
-    }
-
-    /// Flips one bit of the chosen internal array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinate is outside the array geometry.
-    pub fn inject_array_flip(&mut self, array: CacheArray, coord: BitCoord) {
-        match array {
-            CacheArray::Data => self.inject_flip(coord),
-            CacheArray::Tag => self.inject_tag_flip(coord),
-        }
     }
 }
 

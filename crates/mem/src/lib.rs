@@ -39,7 +39,7 @@ pub mod probe;
 pub mod system;
 pub mod tlb;
 
-pub use cache::{Cache, CacheArray, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats};
 pub use paging::{AddressSpace, PagePerms, PageTable};
 pub use phys::PhysicalMemory;
 pub use probe::MemProbes;

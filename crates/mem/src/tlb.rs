@@ -172,11 +172,6 @@ impl Tlb {
         (self.hits, self.misses)
     }
 
-    /// Raw entry word (test introspection).
-    pub fn raw_entry(&self, index: usize) -> u64 {
-        self.entries[index]
-    }
-
     /// Approximate heap bytes retained by one snapshot of this TLB.
     pub fn snapshot_bytes(&self) -> usize {
         self.entries.len() * 8

@@ -313,11 +313,6 @@ pub struct JobContext {
 }
 
 impl JobContext {
-    /// The cooperative cancellation flag (share it with the fabric).
-    pub fn cancel_token(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
-    }
-
     /// Whether cancellation was requested.
     pub fn cancelled(&self) -> bool {
         self.cancel.load(Ordering::Relaxed)

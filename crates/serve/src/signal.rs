@@ -41,8 +41,3 @@ pub fn install_term_handler() {
 pub fn term_requested() -> bool {
     TERM_FLAG.load(Ordering::SeqCst)
 }
-
-/// Test hook: raise the flag as if a signal had arrived.
-pub fn request_term() {
-    TERM_FLAG.store(true, Ordering::SeqCst);
-}
