@@ -240,7 +240,7 @@ pub struct LivenessMap {
     pub total_cycles: u64,
     /// Instructions committed by the fault-free run.
     pub instructions: u64,
-    /// Per-structure live intervals.
+    /// Per-structure residency.
     pub structures: BTreeMap<AceStructure, StructureResidency>,
     /// Pipeline-queue occupancy.
     pub occupancy: OccupancyStats,
@@ -287,21 +287,6 @@ fn rows_for(structure: AceStructure, core: &CoreConfig) -> usize {
     }
 }
 
-fn recorder_for(
-    structure: AceStructure,
-    core: &CoreConfig,
-    sim: &Simulator,
-    with_segments: bool,
-) -> ResidencyRecorder {
-    let rows = rows_for(structure, core);
-    let map = field_map_for(structure, sim);
-    if with_segments {
-        ResidencyRecorder::with_segments(rows, map)
-    } else {
-        ResidencyRecorder::new(rows, map)
-    }
-}
-
 fn slot_mut(
     probes: &mut SimProbes,
     structure: AceStructure,
@@ -319,55 +304,50 @@ fn slot_mut(
     }
 }
 
-fn run_with_probes(
+/// Runs `sim` to its fault-free exit.
+fn run_to_exit(sim: &mut Simulator) -> Result<(), CaptureError> {
+    match sim.run_until_cycle(CAPTURE_CYCLE_BUDGET) {
+        Some(RunEnd::Exited { .. }) => Ok(()),
+        end => Err(CaptureError::RunFailed {
+            end: format!("{end:?}"),
+        }),
+    }
+}
+
+/// Detaches `structure`'s probe from `probes` as the observer type it was
+/// attached as.
+fn take<P: 'static>(probes: &mut SimProbes, structure: AceStructure) -> Result<P, CaptureError> {
+    let probe = slot_mut(probes, structure)
+        .take()
+        .ok_or(CaptureError::ProbeMismatch)?;
+    probe
+        .into_any()
+        .downcast::<P>()
+        .map(|p| *p)
+        .map_err(|_| CaptureError::ProbeMismatch)
+}
+
+/// Runs `program` fault-free to exit with one observer on `structure`,
+/// built by `probe` from the structure's logical rows and field map, and
+/// returns the observer with the run's cycle count.
+///
+/// # Errors
+///
+/// [`CaptureError::RunFailed`] if the fault-free run does not exit cleanly.
+pub(crate) fn observe<P: LivenessProbe + 'static>(
     core: CoreConfig,
     program: &Program,
-    structures: &[AceStructure],
-    with_occupancy: bool,
-    with_segments: bool,
-) -> Result<LivenessMap, CaptureError> {
+    structure: AceStructure,
+    probe: impl FnOnce(usize, FieldMap) -> P,
+) -> Result<(P, u64), CaptureError> {
     let mut sim = Simulator::new(core, program);
     let mut probes = SimProbes::default();
-    for &s in structures {
-        *slot_mut(&mut probes, s) = Some(Box::new(recorder_for(s, &core, &sim, with_segments)));
-    }
-    if with_occupancy {
-        probes.pipeline = Some(Box::new(OccupancyProbe::default()));
-    }
+    let map = field_map_for(structure, &sim);
+    *slot_mut(&mut probes, structure) = Some(Box::new(probe(rows_for(structure, &core), map)));
     sim.attach_probes(probes);
-    let end = sim.run_until_cycle(CAPTURE_CYCLE_BUDGET);
-    if !matches!(end, Some(RunEnd::Exited { .. })) {
-        return Err(CaptureError::RunFailed {
-            end: format!("{end:?}"),
-        });
-    }
-    let total_cycles = sim.cycle();
-    let instructions = sim.instructions();
-    let mut detached = sim.detach_probes();
-    let mut out = BTreeMap::new();
-    for &s in structures {
-        let probe = slot_mut(&mut detached, s)
-            .take()
-            .ok_or(CaptureError::ProbeMismatch)?;
-        let recorder = probe
-            .into_any()
-            .downcast::<ResidencyRecorder>()
-            .map_err(|_| CaptureError::ProbeMismatch)?;
-        out.insert(s, recorder.finish(total_cycles));
-    }
-    let occupancy = match detached.pipeline.take() {
-        Some(p) => *p
-            .into_any()
-            .downcast::<OccupancyProbe>()
-            .map_err(|_| CaptureError::ProbeMismatch)?,
-        None => OccupancyProbe::default(),
-    };
-    Ok(LivenessMap {
-        total_cycles,
-        instructions,
-        structures: out,
-        occupancy: occupancy.finish(),
-    })
+    run_to_exit(&mut sim)?;
+    let probe = take(&mut sim.detach_probes(), structure)?;
+    Ok((probe, sim.cycle()))
 }
 
 /// Observes a full fault-free run of `program`, recording residency for
@@ -377,27 +357,42 @@ fn run_with_probes(
 ///
 /// [`CaptureError::RunFailed`] if the fault-free run does not exit cleanly.
 pub fn capture(core: CoreConfig, program: &Program) -> Result<LivenessMap, CaptureError> {
-    run_with_probes(core, program, &AceStructure::ALL, true, false)
+    let mut sim = Simulator::new(core, program);
+    let mut probes = SimProbes::default();
+    for s in AceStructure::ALL {
+        let recorder = ResidencyRecorder::new(rows_for(s, &core), field_map_for(s, &sim));
+        *slot_mut(&mut probes, s) = Some(Box::new(recorder));
+    }
+    probes.pipeline = Some(Box::new(OccupancyProbe::default()));
+    sim.attach_probes(probes);
+    run_to_exit(&mut sim)?;
+    let total_cycles = sim.cycle();
+    let mut detached = sim.detach_probes();
+    let mut structures = BTreeMap::new();
+    for s in AceStructure::ALL {
+        let recorder: ResidencyRecorder = take(&mut detached, s)?;
+        structures.insert(s, recorder.finish(total_cycles));
+    }
+    let occupancy = detached
+        .pipeline
+        .take()
+        .ok_or(CaptureError::ProbeMismatch)?
+        .into_any()
+        .downcast::<OccupancyProbe>()
+        .map_err(|_| CaptureError::ProbeMismatch)?;
+    Ok(LivenessMap {
+        total_cycles,
+        instructions: sim.instructions(),
+        structures,
+        occupancy: occupancy.finish(),
+    })
 }
 
-/// Observes a fault-free run recording only `component`'s data array — the
-/// cheap path used to build a campaign oracle.
-///
-/// # Errors
-///
-/// [`CaptureError::RunFailed`] if the fault-free run does not exit cleanly.
-pub fn capture_component(
-    core: CoreConfig,
-    program: &Program,
-    component: HwComponent,
-) -> Result<(StructureResidency, u64), CaptureError> {
-    capture_component_inner(core, program, component, false)
-}
-
-/// Like [`capture_component`], but additionally records every access-event
-/// boundary ([`crate::residency::SegmentEvent`]) so the returned residency
-/// exposes the exact fault-equivalence segmentation of the component's
-/// (bit, cycle) fault space — the input to `mbu-equiv` partitions.
+/// Observes a fault-free run recording `component`'s data array with every
+/// access-event boundary ([`crate::residency::SegmentEvent`]), so the
+/// returned residency exposes the exact fault-equivalence segmentation of
+/// the component's (bit, cycle) fault space — the input to `mbu-equiv`
+/// partitions. Returns the residency and the run's cycle count.
 ///
 /// # Errors
 ///
@@ -407,20 +402,8 @@ pub fn capture_component_segments(
     program: &Program,
     component: HwComponent,
 ) -> Result<(StructureResidency, u64), CaptureError> {
-    capture_component_inner(core, program, component, true)
-}
-
-fn capture_component_inner(
-    core: CoreConfig,
-    program: &Program,
-    component: HwComponent,
-    with_segments: bool,
-) -> Result<(StructureResidency, u64), CaptureError> {
     let structure = AceStructure::for_component(component);
-    let mut map = run_with_probes(core, program, &[structure], false, with_segments)?;
-    let residency = map
-        .structures
-        .remove(&structure)
-        .ok_or(CaptureError::ProbeMismatch)?;
-    Ok((residency, map.total_cycles))
+    let (recorder, total_cycles) =
+        observe(core, program, structure, ResidencyRecorder::with_segments)?;
+    Ok((recorder.finish(total_cycles), total_cycles))
 }

@@ -12,16 +12,17 @@
 //! AVF ≈ live-bit-cycles / (total bits × total cycles)
 //! ```
 //!
-//! Three consumers build on the recorded intervals:
+//! Four consumers build on the recorded liveness:
 //!
 //! * **Analytical AVF** ([`capture()`] → [`StructureResidency::analytical_avf`])
 //!   cross-validated against the injection-measured AVF per (component,
 //!   workload);
 //! * **Occupancy observability** ([`OccupancyStats`]) — per-cycle ROB /
 //!   issue-queue / store-buffer occupancy summaries and time series;
-//! * **Campaign fast path** ([`LivenessOracle`]) — a conservative
-//!   provably-masked pre-filter that lets campaigns skip simulating faults
-//!   whose flipped bits are dead, with bit-identical classifications;
+//! * **Campaign fast path** ([`dead_at`]) — one fault-free run answers, for
+//!   every injection of a campaign, whether each bit it may flip is dead at
+//!   its injection cycle, so campaigns skip simulating provably-masked
+//!   faults with bit-identical classifications;
 //! * **Fault-equivalence segmentation** ([`capture_component_segments`] /
 //!   [`StructureResidency::slot_events`]) — the exact per-field
 //!   access-event boundaries that partition the (bit, cycle) fault space
@@ -34,8 +35,8 @@ pub mod oracle;
 pub mod residency;
 
 pub use capture::{
-    capture, capture_component, capture_component_segments, AceStructure, CaptureError,
-    LivenessMap, OccupancyPoint, OccupancyProbe, OccupancyStats,
+    capture, capture_component_segments, AceStructure, CaptureError, LivenessMap, OccupancyPoint,
+    OccupancyProbe, OccupancyStats,
 };
-pub use oracle::LivenessOracle;
+pub use oracle::{dead_at, LivenessOracle};
 pub use residency::{FieldMap, ResidencyRecorder, SegmentEvent, SegmentKind, StructureResidency};

@@ -1,15 +1,22 @@
-//! Per-field live-interval recording from a structure's probe event stream.
+//! Per-field liveness from a structure's probe event stream.
 //!
-//! A [`ResidencyRecorder`] implements [`LivenessProbe`] and folds the
-//! write/read/invalidate stream of one storage array into *live intervals*:
-//! a field (a group of fate-sharing bits) is live from a defining write to
-//! the **last read** of that value before its next full overwrite, and dead
-//! everywhere else. The paper's ACE framing (Mukherjee et al.): un-ACE
-//! cycles are exactly the dead intervals, so
+//! A field (a group of fate-sharing bits) is *live* from a defining write
+//! to the **last read** of that value before its next full overwrite, and
+//! dead everywhere else. Two observers implement [`LivenessProbe`] and fold
+//! one storage array's write/read/invalidate stream under that rule:
 //!
-//! ```text
-//! analytical AVF = live-bit-cycles / (total bits × total cycles)
-//! ```
+//! * [`ResidencyRecorder`] tallies the exact live bit-cycles — the paper's
+//!   ACE framing (Mukherjee et al.): un-ACE cycles are exactly the dead
+//!   ones, so
+//!
+//!   ```text
+//!   analytical AVF = live-bit-cycles / (total bits × total cycles)
+//!   ```
+//!
+//!   — and, on request, every per-field access-event boundary, the
+//!   fault-equivalence segmentation `mbu-equiv` partitions;
+//! * a point-query probe answers, for the campaign oracle
+//!   ([`crate::oracle::dead_at`]), whether a bit is dead at a cycle.
 //!
 //! Conservatism rules (the campaign oracle must never call a live bit dead):
 //!
@@ -20,17 +27,11 @@
 //!   contents);
 //! * invalidations are advisory only — the bits physically persist, and a
 //!   later read without an intervening write would still observe them, so
-//!   invalidation never terminates an interval early.
+//!   invalidation never ends liveness early.
 
 use mbu_sram::LivenessProbe;
 use std::any::Any;
 use std::ops::Range;
-
-/// Adjacent live intervals closer than this many cycles are merged in the
-/// stored interval list. Merging only ever *adds* liveness (the gap becomes
-/// live), so oracle queries stay conservative; the exact pre-merge
-/// live-cycle tally is kept separately for analytical AVF.
-const MERGE_GAP: u64 = 32;
 
 /// How a row's bit columns partition into fate-sharing fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +93,19 @@ impl FieldMap {
             FieldMap::Ranges(ranges) => ranges[field].clone(),
         }
     }
+
+    /// Field indices overlapped by the non-empty bit range
+    /// `[col, col + width)` of a row.
+    fn touched(&self, col: usize, width: usize) -> Range<usize> {
+        let last = self.cols().saturating_sub(1);
+        self.field_of(col.min(last))..self.field_of((col + width - 1).min(last)) + 1
+    }
+
+    /// Whether the bit range `[col, col + width)` covers all of `field`.
+    fn covers(&self, field: usize, col: usize, width: usize) -> bool {
+        let r = self.field_range(field);
+        col <= r.start && col + width >= r.end
+    }
 }
 
 /// How a recorded access event terminates the fault-equivalence segment
@@ -138,7 +152,7 @@ pub struct SegmentEvent {
     pub kind: SegmentKind,
 }
 
-/// Per-field interval-tracking state.
+/// Per-field liveness state of the current value.
 #[derive(Debug, Clone, Copy)]
 struct FieldState {
     /// Cycle the current value was (fully) written; 0 for initial contents.
@@ -159,15 +173,13 @@ impl FieldState {
     }
 }
 
-/// Records one structure's event stream into per-field live intervals.
+/// Records one structure's event stream into its exact live bit-cycles.
 #[derive(Debug)]
 pub struct ResidencyRecorder {
     map: FieldMap,
     rows: usize,
     states: Vec<FieldState>,
-    /// Merged live intervals `[start, end]` (inclusive) per field, sorted.
-    intervals: Vec<Vec<(u64, u64)>>,
-    /// Exact (pre-merge) live bit-cycles over all fields.
+    /// Exact live bit-cycles over all fields.
     live_bit_cycles: u64,
     /// Advisory invalidation events seen (statistic only; see module docs).
     invalidates: u64,
@@ -185,7 +197,6 @@ impl ResidencyRecorder {
             map,
             rows,
             states: vec![FieldState::fresh(0); nfields],
-            intervals: vec![Vec::new(); nfields],
             live_bit_cycles: 0,
             invalidates: 0,
             events: 0,
@@ -228,30 +239,13 @@ impl ResidencyRecorder {
         }
     }
 
-    /// Field indices overlapped by `[col, col + width)` in `row`, together
-    /// with whether the range *fully* covers each field.
-    fn touched(&self, col: usize, width: usize) -> Range<usize> {
-        let first = self
-            .map
-            .field_of(col.min(self.map.cols().saturating_sub(1)));
-        let last = self
-            .map
-            .field_of((col + width - 1).min(self.map.cols().saturating_sub(1)));
-        first..last + 1
-    }
-
-    fn close_interval(&mut self, slot: usize, field: usize) {
+    /// Adds the live span of `slot`'s current value, from its defining
+    /// write through its last read, to the tally.
+    fn close_value(&mut self, slot: usize, field: usize) {
         let st = self.states[slot];
         if st.has_read && st.last_read >= st.written_at {
             let bits = self.map.field_range(field).len() as u64;
             self.live_bit_cycles += (st.last_read - st.written_at + 1) * bits;
-            let iv = &mut self.intervals[slot];
-            match iv.last_mut() {
-                Some(last) if st.written_at <= last.1.saturating_add(MERGE_GAP) => {
-                    last.1 = last.1.max(st.last_read);
-                }
-                _ => iv.push((st.written_at, st.last_read)),
-            }
         }
     }
 
@@ -260,7 +254,7 @@ impl ResidencyRecorder {
             return;
         }
         let base = row * self.map.fields_per_row();
-        for field in self.touched(col, width) {
+        for field in self.map.touched(col, width) {
             let st = &mut self.states[base + field];
             st.last_read = st.last_read.max(now);
             st.has_read = true;
@@ -268,17 +262,16 @@ impl ResidencyRecorder {
         }
     }
 
-    /// Closes all pending intervals and freezes the recording.
+    /// Closes every field's current value and freezes the recording.
     pub fn finish(mut self, total_cycles: u64) -> StructureResidency {
         for slot in 0..self.states.len() {
             let field = slot % self.map.fields_per_row();
-            self.close_interval(slot, field);
+            self.close_value(slot, field);
         }
         let total_bits = (self.rows * self.map.cols()) as u64;
         StructureResidency {
             map: self.map,
             rows: self.rows,
-            intervals: self.intervals,
             live_bit_cycles: self.live_bit_cycles,
             total_bits,
             total_cycles,
@@ -296,11 +289,10 @@ impl LivenessProbe for ResidencyRecorder {
         }
         self.events += 1;
         let base = row * self.map.fields_per_row();
-        for field in self.touched(col, width) {
-            let r = self.map.field_range(field);
-            if col <= r.start && col + width >= r.end {
+        for field in self.map.touched(col, width) {
+            if self.map.covers(field, col, width) {
                 // Full overwrite: the old value's observation window closes.
-                self.close_interval(base + field, field);
+                self.close_value(base + field, field);
                 self.states[base + field] = FieldState::fresh(now);
                 self.push_event(base + field, now, SegmentKind::Overwritten);
             } else {
@@ -330,7 +322,7 @@ impl LivenessProbe for ResidencyRecorder {
         self.invalidates += 1;
         if self.segments.is_some() && row < self.rows && width > 0 {
             let base = row * self.map.fields_per_row();
-            for field in self.touched(col, width) {
+            for field in self.map.touched(col, width) {
                 self.push_event(base + field, now, SegmentKind::Barrier);
             }
         }
@@ -341,12 +333,11 @@ impl LivenessProbe for ResidencyRecorder {
     }
 }
 
-/// Frozen per-field live intervals of one structure over one run.
+/// Frozen liveness record of one structure over one run.
 #[derive(Debug, Clone)]
 pub struct StructureResidency {
     map: FieldMap,
     rows: usize,
-    intervals: Vec<Vec<(u64, u64)>>,
     live_bit_cycles: u64,
     total_bits: u64,
     total_cycles: u64,
@@ -380,7 +371,7 @@ impl StructureResidency {
         self.total_cycles
     }
 
-    /// Exact live bit-cycles (pre-merge; the analytical AVF numerator).
+    /// Exact live bit-cycles (the analytical AVF numerator).
     pub fn live_bit_cycles(&self) -> u64 {
         self.live_bit_cycles
     }
@@ -397,29 +388,6 @@ impl StructureResidency {
     /// to the analytical AVF, named for occupancy reporting.
     pub fn mean_live_fraction(&self) -> f64 {
         self.analytical_avf()
-    }
-
-    /// Whether the bit at logical `(row, col)` is (possibly) live at
-    /// `cycle`. Out-of-range coordinates report live (conservative).
-    pub fn is_live_at(&self, row: usize, col: usize, cycle: u64) -> bool {
-        if row >= self.rows || col >= self.map.cols() {
-            return true;
-        }
-        let slot = row * self.map.fields_per_row() + self.map.field_of(col);
-        let iv = &self.intervals[slot];
-        // Last interval starting at or before `cycle`.
-        match iv
-            .partition_point(|&(start, _)| start <= cycle)
-            .checked_sub(1)
-        {
-            None => false,
-            Some(i) => cycle <= iv[i].1,
-        }
-    }
-
-    /// Number of stored (merged) live intervals across all fields.
-    pub fn interval_count(&self) -> usize {
-        self.intervals.iter().map(Vec::len).sum()
     }
 
     /// The field map the recording was made under.
@@ -455,108 +423,324 @@ impl StructureResidency {
     }
 }
 
+/// Answers "is this bit dead at this cycle?" for a batch of queries over
+/// one structure's event stream, by the rules [`crate::oracle::dead_at`]
+/// documents: a query resolves at the first event on its field at or after
+/// its cycle. Memory is proportional to the queries, plus one cursor per
+/// field slot.
+#[derive(Debug)]
+pub(crate) struct DeadAtProbe {
+    map: FieldMap,
+    rows: usize,
+    /// In-range queries as `(slot, cycle, query index)`, sorted.
+    queries: Vec<(u32, u64, u32)>,
+    /// Per field slot, the position in `queries` of its first unresolved
+    /// query; `queries.len()` for a slot without any.
+    cursor: Vec<u32>,
+    /// Per query, whether a full overwrite resolved it.
+    dead: Vec<bool>,
+}
+
+impl DeadAtProbe {
+    /// A probe for a `rows × map.cols()` structure that answers `queries`,
+    /// each an injection cycle and a logical `(row, col)` bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queries or the field slots do not fit `u32` indices.
+    pub(crate) fn new(
+        rows: usize,
+        map: FieldMap,
+        queries: impl ExactSizeIterator<Item = (u64, usize, usize)>,
+    ) -> Self {
+        let fields = map.fields_per_row();
+        let slots = rows * fields;
+        let dead = vec![false; queries.len()];
+        assert!(
+            u32::try_from(slots.max(dead.len())).is_ok(),
+            "query and slot indices must fit u32"
+        );
+        let mut sorted: Vec<(u32, u64, u32)> = queries
+            .enumerate()
+            .filter(|&(_, (_, row, col))| row < rows && col < map.cols())
+            .map(|(q, (cycle, row, col))| {
+                ((row * fields + map.field_of(col)) as u32, cycle, q as u32)
+            })
+            .collect();
+        sorted.sort_unstable();
+        let mut cursor = vec![sorted.len() as u32; slots];
+        for (i, &(slot, ..)) in sorted.iter().enumerate().rev() {
+            cursor[slot as usize] = i as u32;
+        }
+        Self {
+            map,
+            rows,
+            queries: sorted,
+            cursor,
+            dead,
+        }
+    }
+
+    /// Resolves every query of `slot` at or before `now`: dead when the
+    /// event is a full overwrite, live otherwise.
+    fn resolve(&mut self, slot: usize, now: u64, overwrite: bool) {
+        let mut next = self.cursor[slot] as usize;
+        while let Some(&(s, cycle, q)) = self.queries.get(next) {
+            if s as usize != slot || cycle > now {
+                break;
+            }
+            self.dead[q as usize] = overwrite;
+            next += 1;
+        }
+        self.cursor[slot] = next as u32;
+    }
+
+    /// Resolves the fields a write or read of `[col, col + width)` in
+    /// `row` touches; only a write can cover a field fully.
+    fn access(&mut self, now: u64, row: usize, col: usize, width: usize, write: bool) {
+        if row >= self.rows || width == 0 {
+            return;
+        }
+        let base = row * self.map.fields_per_row();
+        for field in self.map.touched(col, width) {
+            let overwrite = write && self.map.covers(field, col, width);
+            self.resolve(base + field, now, overwrite);
+        }
+    }
+
+    /// The answers for a run of `total_cycles` cycles, one per query in
+    /// the order given: whether the bit is provably dead at its cycle.
+    pub(crate) fn finish(mut self, total_cycles: u64) -> Vec<bool> {
+        for (i, &(slot, cycle, q)) in self.queries.iter().enumerate() {
+            let unresolved = i >= self.cursor[slot as usize] as usize;
+            let dead = &mut self.dead[q as usize];
+            *dead = cycle < total_cycles && (*dead || unresolved);
+        }
+        self.dead
+    }
+}
+
+impl LivenessProbe for DeadAtProbe {
+    fn on_write(&mut self, now: u64, row: usize, col: usize, width: usize) {
+        self.access(now, row, col, width, true);
+    }
+
+    fn on_read(&mut self, now: u64, row: usize, col: usize, width: usize) {
+        self.access(now, row, col, width, false);
+    }
+
+    fn on_invalidate(&mut self, _now: u64, _row: usize, _col: usize, _width: usize) {}
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec() -> ResidencyRecorder {
-        ResidencyRecorder::new(4, FieldMap::Row { cols: 32 })
+    /// One synthetic probe event: `(cycle, row, col, width)`.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        W(u64, usize, usize, usize),
+        R(u64, usize, usize, usize),
+        I(u64, usize, usize, usize),
     }
+
+    fn replay(p: &mut dyn LivenessProbe, events: &[Ev]) {
+        for &e in events {
+            match e {
+                Ev::W(now, row, col, width) => p.on_write(now, row, col, width),
+                Ev::R(now, row, col, width) => p.on_read(now, row, col, width),
+                Ev::I(now, row, col, width) => p.on_invalidate(now, row, col, width),
+            }
+        }
+    }
+
+    /// Which of `queries` — `(cycle, row, col)` — are dead after `events`
+    /// in a `total`-cycle run of a `rows × map` structure.
+    fn dead_at(
+        rows: usize,
+        map: FieldMap,
+        events: &[Ev],
+        total: u64,
+        queries: &[(u64, usize, usize)],
+    ) -> Vec<bool> {
+        let mut p = DeadAtProbe::new(rows, map, queries.iter().copied());
+        replay(&mut p, events);
+        p.finish(total)
+    }
+
+    fn recorded(rows: usize, map: FieldMap, events: &[Ev], total: u64) -> StructureResidency {
+        let mut r = ResidencyRecorder::new(rows, map);
+        replay(&mut r, events);
+        r.finish(total)
+    }
+
+    const REG: FieldMap = FieldMap::Row { cols: 32 };
 
     #[test]
     fn write_read_overwrite_forms_interval() {
-        let mut r = rec();
-        r.on_write(10, 0, 0, 32);
-        r.on_read(20, 0, 0, 32);
-        r.on_read(40, 0, 0, 32);
-        r.on_write(100, 0, 0, 32);
-        let res = r.finish(200);
-        assert!(res.is_live_at(0, 5, 10));
-        assert!(res.is_live_at(0, 5, 40));
-        assert!(!res.is_live_at(0, 5, 41), "dead after last read");
-        assert!(!res.is_live_at(0, 5, 150), "unread second value is dead");
-        assert_eq!(res.live_bit_cycles(), 31 * 32);
+        let events = [
+            Ev::W(10, 0, 0, 32),
+            Ev::R(20, 0, 0, 32),
+            Ev::R(40, 0, 0, 32),
+            Ev::W(100, 0, 0, 32),
+        ];
+        let queries = [(10, 0, 5), (11, 0, 5), (40, 0, 5), (41, 0, 5), (150, 0, 5)];
+        assert_eq!(
+            dead_at(4, REG, &events, 200, &queries),
+            [true, false, false, true, true],
+            "a flip before the defining write is erased by it; the value is \
+             live after it through its last read, dead after that, and the \
+             unread second value is dead"
+        );
+        assert_eq!(recorded(4, REG, &events, 200).live_bit_cycles(), 31 * 32);
     }
 
     #[test]
     fn unread_value_is_fully_dead() {
-        let mut r = rec();
-        r.on_write(10, 0, 0, 32);
-        let res = r.finish(100);
-        assert!(!res.is_live_at(0, 0, 50));
-        assert_eq!(res.live_bit_cycles(), 0);
+        let events = [Ev::W(10, 0, 0, 32)];
+        assert_eq!(
+            dead_at(4, REG, &events, 100, &[(0, 0, 0), (50, 0, 0)]),
+            [true, true]
+        );
+        assert_eq!(recorded(4, REG, &events, 100).live_bit_cycles(), 0);
     }
 
     #[test]
     fn read_before_any_write_is_initial_content_span() {
-        let mut r = rec();
-        r.on_read(30, 1, 0, 32);
-        let res = r.finish(100);
-        assert!(res.is_live_at(1, 0, 0), "live from cycle 0");
-        assert!(res.is_live_at(1, 0, 30));
-        assert!(!res.is_live_at(1, 0, 31));
+        let events = [Ev::R(30, 1, 0, 32)];
+        assert_eq!(
+            dead_at(4, REG, &events, 100, &[(0, 1, 0), (30, 1, 0), (31, 1, 0)]),
+            [false, false, true],
+            "live from cycle 0 through the read"
+        );
     }
 
     #[test]
     fn invalidate_does_not_end_liveness() {
-        let mut r = rec();
-        r.on_write(10, 0, 0, 32);
-        r.on_invalidate(20, 0, 0, 32);
-        r.on_read(50, 0, 0, 32); // bits persisted and were observed
-        let res = r.finish(100);
-        assert!(res.is_live_at(0, 0, 30), "read-after-invalidate keeps span");
-        assert_eq!(res.invalidates, 1);
+        // The bits persisted and were observed after the invalidation.
+        let events = [
+            Ev::W(10, 0, 0, 32),
+            Ev::I(20, 0, 0, 32),
+            Ev::R(50, 0, 0, 32),
+        ];
+        assert_eq!(dead_at(4, REG, &events, 100, &[(30, 0, 0)]), [false]);
+        assert_eq!(recorded(4, REG, &events, 100).invalidates, 1);
     }
 
     #[test]
     fn chunked_fields_track_independently() {
-        let mut r = ResidencyRecorder::new(
-            2,
-            FieldMap::Chunks {
-                chunk: 8,
-                cols: 256,
-            },
+        let line = FieldMap::Chunks {
+            chunk: 8,
+            cols: 256,
+        };
+        let events = [
+            Ev::W(5, 0, 0, 256), // full-line fill
+            Ev::R(50, 0, 32, 8), // read byte 4 only
+            Ev::W(80, 0, 0, 256),
+        ];
+        assert_eq!(
+            dead_at(2, line, &events, 100, &[(40, 0, 35), (40, 0, 0)]),
+            [false, true],
+            "the read byte is live until its read, an unread byte is dead"
         );
-        r.on_write(5, 0, 0, 256); // full-line fill
-        r.on_read(50, 0, 32, 8); // read byte 4 only
-        r.on_write(80, 0, 0, 256);
-        let res = r.finish(100);
-        assert!(res.is_live_at(0, 35, 40), "read byte live until its read");
-        assert!(!res.is_live_at(0, 0, 40), "unread byte dead");
     }
 
     #[test]
     fn partial_write_is_conservative_read() {
-        let mut r = ResidencyRecorder::new(1, FieldMap::Ranges(vec![0..3, 3..21]));
-        r.on_write(5, 0, 0, 21);
-        r.on_write(30, 0, 0, 2); // covers only part of field 0..3
-        let res = r.finish(100);
-        assert!(res.is_live_at(0, 1, 20), "partial write observes old value");
-        assert!(
-            !res.is_live_at(0, 10, 20),
-            "other field untouched and unread"
+        let tlb = || FieldMap::Ranges(vec![0..3, 3..21]);
+        // The second write covers only part of field 0..3.
+        let events = [Ev::W(5, 0, 0, 21), Ev::W(30, 0, 0, 2)];
+        assert_eq!(
+            dead_at(1, tlb(), &events, 100, &[(20, 0, 1), (20, 0, 10)]),
+            [false, true],
+            "a partial write observes the old value; the other field is unread"
         );
     }
 
     #[test]
-    fn nearby_intervals_merge_but_exact_cycles_do_not() {
-        let mut r = rec();
+    fn gaps_between_live_spans_stay_dead() {
+        let mut events = Vec::new();
         for k in 0..3u64 {
-            r.on_write(k * 10, 0, 0, 32);
-            r.on_read(k * 10 + 2, 0, 0, 32);
+            events.push(Ev::W(k * 10, 0, 0, 32));
+            events.push(Ev::R(k * 10 + 2, 0, 0, 32));
         }
-        let res = r.finish(100);
-        // Three 3-cycle spans, gaps of 7 < MERGE_GAP: one stored interval.
-        assert_eq!(res.interval_count(), 1);
-        assert_eq!(res.live_bit_cycles(), 3 * 3 * 32);
-        assert!(res.is_live_at(0, 0, 5), "merged gap reads as live");
+        // Three 3-cycle spans with 7-cycle dead gaps between them.
+        assert_eq!(
+            dead_at(
+                1,
+                REG,
+                &events,
+                100,
+                &[(1, 0, 0), (5, 0, 0), (12, 0, 0), (25, 0, 0)]
+            ),
+            [false, true, false, true]
+        );
+        assert_eq!(recorded(1, REG, &events, 100).live_bit_cycles(), 3 * 3 * 32);
+    }
+
+    #[test]
+    fn same_cycle_read_then_write_is_live() {
+        // The read in cycle 5 sees a bit flipped before cycle 5 runs.
+        let events = [Ev::R(5, 0, 0, 32), Ev::W(5, 0, 0, 32)];
+        assert_eq!(
+            dead_at(1, REG, &events, 20, &[(4, 0, 0), (5, 0, 0), (6, 0, 0)]),
+            [false, false, true]
+        );
+    }
+
+    #[test]
+    fn same_cycle_write_then_read_is_dead() {
+        // The write in cycle 5 erases the flip before the read observes it.
+        let events = [Ev::W(5, 0, 0, 32), Ev::R(5, 0, 0, 32), Ev::R(7, 0, 0, 32)];
+        assert_eq!(
+            dead_at(1, REG, &events, 20, &[(5, 0, 0), (6, 0, 0), (8, 0, 0)]),
+            [true, false, true]
+        );
+    }
+
+    #[test]
+    fn queries_resolve_per_field_in_any_order() {
+        // Queries listed out of order, over two rows and repeated cycles.
+        let events = [
+            Ev::R(10, 1, 0, 32),
+            Ev::W(20, 0, 0, 32),
+            Ev::W(30, 1, 0, 32),
+            Ev::R(40, 0, 0, 32),
+        ];
+        let queries = [
+            (25, 0, 0),
+            (5, 1, 0),
+            (15, 0, 3),
+            (15, 1, 0),
+            (5, 1, 9),
+            (41, 0, 0),
+        ];
+        assert_eq!(
+            dead_at(2, REG, &events, 50, &queries),
+            [false, false, true, true, false, true]
+        );
     }
 
     #[test]
     fn out_of_range_queries_are_live() {
-        let res = rec().finish(10);
-        assert!(res.is_live_at(99, 0, 0));
-        assert!(res.is_live_at(0, 99, 0));
+        assert_eq!(
+            dead_at(4, REG, &[], 10, &[(0, 99, 0), (0, 0, 99), (0, 0, 0)]),
+            [false, false, true],
+            "only the in-range bit, never observed, is dead"
+        );
+    }
+
+    #[test]
+    fn queries_at_or_past_the_run_end_are_never_dead() {
+        let events = [Ev::W(2, 0, 0, 32), Ev::W(12, 0, 0, 32)];
+        assert_eq!(
+            dead_at(1, REG, &events, 10, &[(9, 0, 0), (10, 0, 0), (11, 0, 0)]),
+            [true, false, false]
+        );
     }
 
     #[test]
@@ -627,7 +811,7 @@ mod tests {
 
     #[test]
     fn segments_absent_by_default_and_partial_writes_observe() {
-        let mut r = rec();
+        let mut r = ResidencyRecorder::new(4, REG);
         r.on_write(10, 0, 0, 32);
         let res = r.finish(50);
         assert!(!res.has_segments());
@@ -647,7 +831,7 @@ mod tests {
 
     #[test]
     fn slot_of_rejects_out_of_range() {
-        let res = rec().finish(10);
+        let res = ResidencyRecorder::new(4, REG).finish(10);
         assert!(res.slot_of(99, 0).is_none());
         assert!(res.slot_of(0, 99).is_none());
         assert_eq!(res.slot_count(), 4);

@@ -2,7 +2,7 @@
 //! produces sane residency, occupancy and oracle behaviour, and the probe
 //! hooks never perturb the simulated run itself.
 
-use mbu_ace::{capture, AceStructure, LivenessOracle};
+use mbu_ace::{capture, dead_at, AceStructure};
 use mbu_cpu::{CoreConfig, HwComponent, Simulator};
 use mbu_sram::BitCoord;
 use mbu_workloads::Workload;
@@ -51,25 +51,28 @@ fn capture_matches_unprobed_run_and_reports_liveness() {
 fn oracle_dead_bits_exist_and_skip_conservatively() {
     let core = CoreConfig::cortex_a9_like();
     let program = Workload::Qsort.program();
-    let oracle = LivenessOracle::build(core, &program, HwComponent::L2).expect("oracle");
+    let total = Simulator::new(core, &program).run(u64::MAX / 8).cycles;
 
-    // Sample the whole L2 surface mid-run: a scaled 8 KB L2 under a tiny
-    // workload must have plenty of dead bits, and not every bit dead.
+    // Ask about the whole L2 surface mid-run in one pass: a scaled 8 KB L2
+    // under a tiny workload must have plenty of dead bits, and not every
+    // bit dead.
     let g = Simulator::new(core, &program).component_geometry(HwComponent::L2);
-    let mid = oracle.total_cycles() / 2;
-    let mut dead = 0usize;
-    let mut total = 0usize;
-    for row in 0..g.rows() {
-        for col in (0..g.cols()).step_by(8) {
-            total += 1;
-            if oracle.provably_masked(&[BitCoord::new(row, col)], mid) {
-                dead += 1;
-            }
-        }
-    }
-    assert!(dead > 0, "no provably-dead L2 bits at mid-run");
-    assert!(dead < total, "oracle claims the whole L2 is dead");
-
+    let mid = total / 2;
+    let mut queries: Vec<(u64, BitCoord)> = (0..g.rows())
+        .flat_map(|row| {
+            (0..g.cols())
+                .step_by(8)
+                .map(move |col| (mid, BitCoord::new(row, col)))
+        })
+        .collect();
+    let surface = queries.len();
     // Past the end of the observed run nothing is provable.
-    assert!(!oracle.provably_masked(&[BitCoord::new(0, 0)], oracle.total_cycles() + 1));
+    queries.push((total, BitCoord::new(0, 0)));
+    queries.push((total + 1, BitCoord::new(0, 0)));
+    let answers = dead_at(core, &program, HwComponent::L2, &queries).expect("fault-free pass");
+    assert_eq!(answers.len(), queries.len(), "one answer per query");
+    let dead = answers[..surface].iter().filter(|&&d| d).count();
+    assert!(dead > 0, "no provably-dead L2 bits at mid-run");
+    assert!(dead < surface, "oracle claims the whole L2 is dead");
+    assert_eq!(answers[surface..], [false, false]);
 }

@@ -103,6 +103,10 @@ impl StoreIo for ChaosIo<'_> {
         self.inner.read_to_string(path)
     }
 
+    fn read_head(&self, path: &Path, max_bytes: usize) -> io::Result<String> {
+        self.inner.read_head(path, max_bytes)
+    }
+
     fn append(&self, path: &Path, text: &str) -> io::Result<()> {
         let index = self.appends.fetch_add(1, Ordering::Relaxed);
         let plan = self.plan_snapshot();

@@ -441,7 +441,8 @@ impl Experiments {
             .seed(self.seed)
             .threads(self.threads)
             .adaptive(self.adaptive)
-            .use_snapshots(self.use_snapshots);
+            .use_snapshots(self.use_snapshots)
+            .use_liveness_oracle(true);
         cfg.core = self.core;
         cfg
     }

@@ -8,7 +8,7 @@
 //!
 //! Production code uses [`RealIo`]; tests substitute `chaos::ChaosIo`.
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
@@ -18,6 +18,15 @@ use std::time::Duration;
 pub trait StoreIo {
     /// Reads the whole file as UTF-8 text.
     fn read_to_string(&self, path: &Path) -> io::Result<String>;
+
+    /// Reads a prefix of the file as text: at least its first `max_bytes`
+    /// bytes, or all of a shorter file. A character cut at the end reads as
+    /// U+FFFD. The default returns the whole file, so an I/O layer that
+    /// does not override it stays correct, only slower.
+    fn read_head(&self, path: &Path, max_bytes: usize) -> io::Result<String> {
+        let _ = max_bytes;
+        self.read_to_string(path)
+    }
 
     /// Appends `text` to the file (creating it and its parent directories
     /// if absent) and syncs the data to stable storage before returning.
@@ -39,6 +48,14 @@ pub struct RealIo;
 impl StoreIo for RealIo {
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
         std::fs::read_to_string(path)
+    }
+
+    fn read_head(&self, path: &Path, max_bytes: usize) -> io::Result<String> {
+        let mut head = Vec::with_capacity(max_bytes);
+        std::fs::File::open(path)?
+            .take(max_bytes as u64)
+            .read_to_end(&mut head)?;
+        Ok(String::from_utf8_lossy(&head).into_owned())
     }
 
     fn append(&self, path: &Path, text: &str) -> io::Result<()> {
@@ -146,6 +163,10 @@ impl<'a> RetryIo<'a> {
 impl StoreIo for RetryIo<'_> {
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
         self.with_retry(|| self.inner.read_to_string(path))
+    }
+
+    fn read_head(&self, path: &Path, max_bytes: usize) -> io::Result<String> {
+        self.with_retry(|| self.inner.read_head(path, max_bytes))
     }
 
     fn append(&self, path: &Path, text: &str) -> io::Result<()> {

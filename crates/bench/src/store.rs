@@ -361,9 +361,15 @@ fn recover<F: Framed>(io: &dyn StoreIo, path: &Path) -> Result<(F, LoadAudit), S
     Ok((file, audit))
 }
 
+/// Bytes of a file's head that [`append`] reads to tell a checksummed file
+/// by its version line; more than any version line is long.
+const HEAD_BYTES: usize = 64;
+
 /// Appends the sealed row `line`, creating the file with its version line
 /// and header if absent. A legacy file is first upgraded in place, so a
-/// file never mixes formats; one with a defective row fails instead.
+/// file never mixes formats; one with a defective row fails instead. Only
+/// the file's head is read unless it shows a legacy file, so a sweep's
+/// appends read O(rows) bytes in all, not O(rows²).
 fn append<F: Framed>(io: &dyn StoreIo, path: &Path, line: &str) -> Result<(), StoreError> {
     if io.len(path)? == 0 {
         // One append call for version + header + row: a single
@@ -375,7 +381,11 @@ fn append<F: Framed>(io: &dyn StoreIo, path: &Path, line: &str) -> Result<(), St
         )?;
         return Ok(());
     }
-    if F::LEGACY.is_some() {
+    let checksummed = |head: String| {
+        head.split_once('\n')
+            .is_some_and(|(first, _)| first.trim() == F::VERSION_LINE)
+    };
+    if F::LEGACY.is_some() && !checksummed(io.read_head(path, HEAD_BYTES)?) {
         let text = io.read_to_string(path)?;
         if detect::<F>(&text)? == StoreVersion::Legacy {
             let (file, audit) = parse_lossy::<F>(&text)?;
@@ -1646,6 +1656,59 @@ mod tests {
             42
         );
         assert!(loaded.contains(HwComponent::RegFile, Workload::Fft, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The real filesystem, counting the bytes its reads return.
+    #[derive(Default)]
+    struct CountingIo {
+        read: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingIo {
+        fn counted(&self, text: String) -> String {
+            self.read
+                .fetch_add(text.len(), std::sync::atomic::Ordering::Relaxed);
+            text
+        }
+    }
+
+    impl StoreIo for CountingIo {
+        fn read_to_string(&self, path: &Path) -> io::Result<String> {
+            RealIo.read_to_string(path).map(|t| self.counted(t))
+        }
+        fn read_head(&self, path: &Path, max_bytes: usize) -> io::Result<String> {
+            RealIo.read_head(path, max_bytes).map(|t| self.counted(t))
+        }
+        fn append(&self, path: &Path, text: &str) -> io::Result<()> {
+            RealIo.append(path, text)
+        }
+        fn write_atomic(&self, path: &Path, text: &str) -> io::Result<()> {
+            RealIo.write_atomic(path, text)
+        }
+        fn len(&self, path: &Path) -> io::Result<u64> {
+            RealIo.len(path)
+        }
+    }
+
+    #[test]
+    fn appends_read_only_the_file_head() {
+        let dir = std::env::temp_dir().join(format!("mbu-store-head-{}", std::process::id()));
+        let path = dir.join("checkpoint.csv");
+        let _ = std::fs::remove_dir_all(&dir);
+        let io = CountingIo::default();
+        let rows = 50;
+        for faults in 0..rows {
+            let r = sample(HwComponent::L1D, Workload::Sha, faults + 1);
+            ResultStore::append_row_with(&io, &path, &r, None).unwrap();
+        }
+        let read = io.read.load(std::sync::atomic::Ordering::Relaxed);
+        let file = std::fs::metadata(&path).unwrap().len() as usize;
+        assert!(
+            read <= rows * HEAD_BYTES,
+            "{rows} appends read {read} bytes of a {file}-byte file"
+        );
+        assert_eq!(ResultStore::load(&path).unwrap().len(), rows);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

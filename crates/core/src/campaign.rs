@@ -12,7 +12,8 @@
 //! 3. outcomes are classified and aggregated into [`ClassCounts`].
 //!
 //! Every run classifies against one [`GoldenArtifacts`]: the golden output
-//! and counters, plus the snapshot store when snapshots are on.
+//! and counters, plus the snapshot store when snapshots are on, and the
+//! liveness oracle's verdicts when the oracle is on.
 //! [`Campaign::try_run`] builds them itself, the self-contained reference;
 //! a sweep builds them once per workload and runs each campaign, or each
 //! work unit's run range, with [`Campaign::try_run_range`]. With snapshots
@@ -20,7 +21,9 @@
 //! injection cycle ([`Simulator::from_snapshot`]): it loads no program and
 //! simulates only from that checkpoint on. With them off, the plain
 //! executor builds the machine from the program and simulates the whole
-//! prefix — the reference the differential suites compare against.
+//! prefix — the reference the differential suites compare against. With
+//! the oracle on, a run whose flipped bits are all dead at its injection
+//! cycle classifies `Masked` without being simulated at all.
 //!
 //! Runs are distributed over worker threads by one injection executor,
 //! which the exhaustive engine ([`crate::exhaustive`]) drives with class
@@ -53,12 +56,12 @@
 
 use crate::classify::{classify, ClassCounts, FaultEffect};
 use crate::error::CampaignError;
+use crate::golden::{GoldenArtifacts, WindowKey};
 use crate::mask::{ClusterSpec, FaultMask, MaskGenerator};
 use crate::stats;
 use crate::tech::component_bits;
-use mbu_ace::LivenessOracle;
 use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
-use mbu_snap::{GoldenArtifacts, SnapshotSpec, SnapshotStats, SnapshotStore};
+use mbu_snap::{SnapshotSpec, SnapshotStats, SnapshotStore};
 use mbu_sram::{BitCoord, Geometry};
 use mbu_workloads::Workload;
 use std::fmt;
@@ -194,12 +197,15 @@ pub struct CampaignConfig {
     /// non-deterministic — the generous default only fires on genuinely
     /// wedged runs.
     pub run_wall_budget: Option<Duration>,
-    /// Consult a fault-free [`LivenessOracle`] before simulating each run:
-    /// a mask whose flipped bits are all provably dead at the injection
-    /// cycle classifies as [`FaultEffect::Masked`] without simulation. The
+    /// Consult the liveness oracle before simulating each run: a mask whose
+    /// flipped bits are all provably dead at the injection cycle classifies
+    /// as [`FaultEffect::Masked`] without simulation. One fault-free pass
+    /// per (workload, component), memoized in the [`GoldenArtifacts`],
+    /// decides every run's cluster window ([`mbu_ace::dead_at`]). The
     /// oracle is conservative, so classifications are bit-identical with
     /// this on or off; skipped runs are counted in
-    /// [`CampaignResult::oracle_skips`]. Only applies to
+    /// [`CampaignResult::oracle_skips`]. Sweeps always set it; off is the
+    /// differential reference. Only applies to
     /// [`InjectionTarget::DataArray`] campaigns.
     pub use_liveness_oracle: bool,
     /// Margin-driven adaptive sampling: when set, [`CampaignConfig::runs`]
@@ -658,6 +664,13 @@ fn derive_run_seed(campaign_seed: u64, run_index: usize) -> u64 {
         .wrapping_add(run_index as u64 + 1)
 }
 
+/// The mask generator of sampled run `run_index` of a campaign seeded
+/// `seed`: a run draws its injection cycle first, then its cluster window,
+/// then the window cells it flips.
+pub(crate) fn run_generator(seed: u64, cluster: ClusterSpec, run_index: usize) -> MaskGenerator {
+    MaskGenerator::seeded(derive_run_seed(seed, run_index), cluster)
+}
+
 /// Per-run bookkeeping flags threaded out of the isolation boundary.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunExtras {
@@ -680,6 +693,9 @@ pub(crate) struct FaultSite {
     pub(crate) inject_at: u64,
     /// The flipped bits.
     pub(crate) coords: Vec<BitCoord>,
+    /// The liveness oracle proved every flipped bit dead at `inject_at`:
+    /// the run is cycle-identical to the golden run, so it is not simulated.
+    pub(crate) dead: bool,
 }
 
 /// How one isolated injection run ended.
@@ -756,7 +772,7 @@ impl Campaign {
         geometry: Geometry,
     ) -> (u64, FaultMask) {
         let cfg = &self.config;
-        let mut gen = MaskGenerator::seeded(derive_run_seed(cfg.seed, run_index), cfg.cluster);
+        let mut gen = run_generator(cfg.seed, cfg.cluster, run_index);
         let inject_at = gen.injection_cycle(fault_free_cycles);
         (inject_at, gen.generate(geometry, cfg.faults))
     }
@@ -767,16 +783,15 @@ impl Campaign {
     ///
     /// Two fast paths return `Masked` with exactly the golden cycle count,
     /// which is what full simulation produces: such a run is cycle-identical
-    /// to the golden run. The oracle proves that before the fault (every
-    /// flipped bit is dead at the injection cycle, see [`LivenessOracle`]);
-    /// a reconvergence check proves it after the fault (every reachable bit
-    /// matches a golden checkpoint, and determinism makes the rest of the
-    /// run golden).
+    /// to the golden run. The oracle proves that before the fault (the site
+    /// is [`FaultSite::dead`]: every flipped bit is dead at the injection
+    /// cycle, see [`mbu_ace::dead_at`]); a reconvergence check proves it
+    /// after the fault (every reachable bit matches a golden checkpoint,
+    /// and determinism makes the rest of the run golden).
     fn run_injection(
         &self,
         artifacts: &GoldenArtifacts,
         site: &FaultSite,
-        oracle: Option<&LivenessOracle>,
         deadline: Option<Instant>,
     ) -> Injection {
         let cfg = &self.config;
@@ -787,7 +802,7 @@ impl Campaign {
             extras,
         };
         let mut extras = RunExtras::default();
-        if oracle.is_some_and(|o| o.provably_masked(&site.coords, site.inject_at)) {
+        if site.dead {
             extras.oracle_skip = true;
             return masked(extras);
         }
@@ -845,9 +860,9 @@ impl Campaign {
     /// [`crate::exhaustive`]. The configured worker threads take the
     /// entries of `positions` from one atomic queue. Each runs inside the
     /// isolation boundary: the run hook fires with the position, `site`
-    /// maps it to a fault site, and [`Campaign::run_injection`] classifies
-    /// the site against `artifacts`, consulting `oracle` first. A run
-    /// starts with a deadline `budget` away (`None`: no deadline).
+    /// maps it to a fault site (with the oracle's verdict), and
+    /// [`Campaign::run_injection`] classifies the site against `artifacts`.
+    /// A run starts with a deadline `budget` away (`None`: no deadline).
     ///
     /// Returns one outcome per position, in `positions` order: the
     /// injection, or the payload of the panic the boundary caught (callers
@@ -855,8 +870,8 @@ impl Campaign {
     /// the outcomes do not depend on the thread count.
     ///
     /// `catch_unwind` unwind-safety audit: the boundary captures `&self`
-    /// (immutable configuration), the artifacts, the oracle and the site
-    /// mapping (immutable, shared) and the deadline (a copy). All mutable
+    /// (immutable configuration), the artifacts and the site mapping
+    /// (immutable, shared) and the deadline (a copy). All mutable
     /// state — the simulator — lives inside the boundary and is dropped on
     /// unwind, so nothing observable can be left half-updated; the
     /// `AssertUnwindSafe` is sound.
@@ -869,7 +884,6 @@ impl Campaign {
         &self,
         artifacts: &GoldenArtifacts,
         positions: &[usize],
-        oracle: Option<&LivenessOracle>,
         budget: Option<Duration>,
         site: impl Fn(usize) -> FaultSite + Sync,
     ) -> Result<Vec<Result<Injection, String>>, CampaignError> {
@@ -888,7 +902,7 @@ impl Campaign {
                     if let Some(hook) = &self.config.run_hook {
                         (hook.0)(position);
                     }
-                    self.run_injection(artifacts, &site(position), oracle, deadline)
+                    self.run_injection(artifacts, &site(position), deadline)
                 }));
                 flag.set(false);
                 outcome.map_err(|payload| payload_message(payload.as_ref()))
@@ -1018,15 +1032,20 @@ impl Campaign {
             InjectionTarget::DataArray => cfg.core.component_geometry(cfg.component),
             InjectionTarget::TagArray => cfg.core.tag_geometry(cfg.component),
         };
-        // One fault-free observation run buys the provably-masked pre-filter
-        // for every injection run. Build failures (e.g. an observation run
-        // that does not exit cleanly) silently disable the fast path: the
-        // campaign is then merely slower, never wrong.
-        let oracle = if cfg.use_liveness_oracle && cfg.target == InjectionTarget::DataArray {
-            LivenessOracle::build(cfg.core, artifacts.program(), cfg.component).ok()
-        } else {
-            None
-        };
+        // One fault-free pass per (workload, component), memoized in the
+        // artifacts, decides every run's cluster window for all cardinalities
+        // and ranges. A failed pass disables the fast path: the campaign is
+        // then merely slower, never wrong.
+        let windows = (cfg.use_liveness_oracle && cfg.target == InjectionTarget::DataArray)
+            .then(|| {
+                artifacts.run_windows(WindowKey {
+                    component: cfg.component,
+                    seed: cfg.seed,
+                    cluster: cfg.cluster,
+                    runs: cfg.runs,
+                })
+            })
+            .flatten();
         let snapshots = artifacts.snapshot_store().filter(|_| cfg.use_snapshots);
         let mut counts = ClassCounts::new();
         let mut details: Vec<RunDetail> = Vec::new();
@@ -1058,19 +1077,19 @@ impl Campaign {
                 Some(a) => (executed + a.batch).min(range.end),
             };
             let batch: Vec<usize> = (executed..end).collect();
-            let runs = self.simulate(
-                artifacts,
-                &batch,
-                oracle.as_ref(),
-                cfg.run_wall_budget,
-                |index| {
-                    let (inject_at, mask) = self.draw(index, cycles, geometry);
-                    FaultSite {
-                        inject_at,
-                        coords: mask.coords,
-                    }
-                },
-            )?;
+            let runs = self.simulate(artifacts, &batch, cfg.run_wall_budget, |index| {
+                let (inject_at, mask) = self.draw(index, cycles, geometry);
+                // The prune checks the drawn site itself against the memo,
+                // so it never rests on how the memo's windows were drawn.
+                let dead = windows
+                    .as_ref()
+                    .is_some_and(|w| w.proves_masked(index, inject_at, &mask.coords));
+                FaultSite {
+                    inject_at,
+                    coords: mask.coords,
+                    dead,
+                }
+            })?;
             // Outcomes come back in run order, so the anomaly log and the
             // fault list are sorted by run index as they grow.
             for (index, run) in batch.into_iter().zip(runs) {

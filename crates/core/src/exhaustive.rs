@@ -35,10 +35,10 @@
 use crate::campaign::{Campaign, CampaignConfig, CampaignResult, FaultSite, InjectionTarget};
 use crate::classify::{ClassCounts, FaultEffect};
 use crate::error::CampaignError;
+use crate::golden::GoldenArtifacts;
 use crate::stats;
 use mbu_ace::LivenessOracle;
 use mbu_equiv::{physical_coord, CoverageReport, FaultClass, LiveIndex, Partition};
-use mbu_snap::GoldenArtifacts;
 use std::collections::HashMap;
 
 /// Default cap on live (must-simulate) classes — past this an exhaustive
@@ -389,15 +389,14 @@ impl ExhaustivePlan {
         positions: &[usize],
         member: impl Fn(usize) -> (FaultClass, u64) + Sync,
     ) -> Result<Vec<ClassOutcome>, CampaignError> {
-        let runs = self
-            .campaign
-            .simulate(artifacts, positions, None, None, |p| {
-                let (class, inject_at) = member(p);
-                FaultSite {
-                    inject_at,
-                    coords: vec![physical_coord(class.row, class.col, self.interleave)],
-                }
-            })?;
+        let runs = self.campaign.simulate(artifacts, positions, None, |p| {
+            let (class, inject_at) = member(p);
+            FaultSite {
+                inject_at,
+                coords: vec![physical_coord(class.row, class.col, self.interleave)],
+                dead: false,
+            }
+        })?;
         let outcomes = positions.iter().zip(runs).map(|(&p, run)| {
             let (class, inject_cycle) = member(p);
             let (effect, cycles) = run.map_or((FaultEffect::Assert, 0), |r| (r.effect, r.cycles));

@@ -49,6 +49,7 @@ pub mod classify;
 pub mod error;
 pub mod exhaustive;
 pub mod fit;
+pub mod golden;
 pub mod integrity;
 pub mod json;
 pub mod mask;
@@ -69,8 +70,9 @@ pub use exhaustive::{
     ClassOutcome, ExhaustivePlan, ExhaustiveResult, ExhaustiveSpec, StratifiedResult,
     StratifiedSpec,
 };
+pub use golden::GoldenArtifacts;
 pub use integrity::{golden_fingerprint, GoldenFingerprint};
 pub use mask::{ClusterSpec, FaultMask, MaskGenerator};
-pub use mbu_snap::{GoldenArtifacts, SnapshotSpec, SnapshotStats, SnapshotStore};
+pub use mbu_snap::{SnapshotSpec, SnapshotStats, SnapshotStore};
 pub use stats::StatsError;
 pub use tech::TechNode;

@@ -142,18 +142,10 @@ impl MaskGenerator {
     /// Panics if `cardinality` is zero or exceeds the (possibly shrunk)
     /// cluster capacity.
     pub fn generate(&mut self, geometry: Geometry, cardinality: usize) -> FaultMask {
-        let win_rows = self.cluster.rows.min(geometry.rows());
-        let win_cols = self.cluster.cols.min(geometry.cols());
-        let window = ClusterSpec::new(win_rows, win_cols);
+        let (origin, window) = self.window(geometry);
         assert!(
             cardinality >= 1 && cardinality <= window.cells(),
             "cardinality {cardinality} does not fit a {window} cluster"
-        );
-        let max_row = geometry.rows() - win_rows;
-        let max_col = geometry.cols() - win_cols;
-        let origin = BitCoord::new(
-            self.rng.gen_range(0..=max_row),
-            self.rng.gen_range(0..=max_col),
         );
         // Partial Fisher–Yates over the window cells.
         let mut cells: Vec<usize> = (0..window.cells()).collect();
@@ -163,8 +155,8 @@ impl MaskGenerator {
             cells.swap(k, pick);
             let cell = cells[k];
             coords.push(BitCoord::new(
-                origin.row + cell / win_cols,
-                origin.col + cell % win_cols,
+                origin.row + cell / window.cols,
+                origin.col + cell % window.cols,
             ));
         }
         coords.sort_unstable();
@@ -173,6 +165,24 @@ impl MaskGenerator {
             origin,
             cluster: window,
         }
+    }
+
+    /// Places the cluster window uniformly at random in `geometry`: its
+    /// origin (top-left cell) and its shape, the cluster shrunk to fit in
+    /// any dimension where the geometry is smaller. This is the first draw
+    /// of [`MaskGenerator::generate`], so masks of every cardinality drawn
+    /// from equal generator states flip cells of one window, the larger
+    /// masks a superset of the smaller.
+    pub(crate) fn window(&mut self, geometry: Geometry) -> (BitCoord, ClusterSpec) {
+        let window = ClusterSpec::new(
+            self.cluster.rows.min(geometry.rows()),
+            self.cluster.cols.min(geometry.cols()),
+        );
+        let origin = BitCoord::new(
+            self.rng.gen_range(0..=geometry.rows() - window.rows),
+            self.rng.gen_range(0..=geometry.cols() - window.cols),
+        );
+        (origin, window)
     }
 
     /// Draws a uniformly random injection cycle in `[0, fault_free_cycles)`.
@@ -218,6 +228,21 @@ mod tests {
                 assert!(c.row >= m.origin.row && c.row < m.origin.row + 3);
                 assert!(c.col >= m.origin.col && c.col < m.origin.col + 3);
                 assert!(geom().contains(c.row, c.col));
+            }
+        }
+    }
+
+    #[test]
+    fn cardinalities_from_equal_seeds_nest_in_one_window() {
+        for seed in 0..200 {
+            let draw = |k| MaskGenerator::seeded(seed, ClusterSpec::DEFAULT).generate(geom(), k);
+            let (origin, window) = MaskGenerator::seeded(seed, ClusterSpec::DEFAULT).window(geom());
+            let masks: Vec<FaultMask> = (1..=3).map(draw).collect();
+            for pair in masks.windows(2) {
+                assert!(pair[0].coords.iter().all(|c| pair[1].coords.contains(c)));
+            }
+            for m in &masks {
+                assert_eq!((m.origin, m.cluster), (origin, window));
             }
         }
     }

@@ -162,6 +162,36 @@ impl PhysicalMemory {
         Ok(())
     }
 
+    /// Writes `bytes` to consecutive physical addresses from `pa`, one
+    /// frame at a time (the program loader's bulk path). Every frame the
+    /// range touches is allocated, exactly as byte-wise writes would.
+    ///
+    /// # Errors
+    ///
+    /// [`UnmappedPhysical`] if any byte of the range is outside the system
+    /// map; nothing is written then.
+    pub fn write_bytes(&mut self, pa: u32, bytes: &[u8]) -> Result<(), UnmappedPhysical> {
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        let len = u32::try_from(bytes.len()).map_err(|_| UnmappedPhysical { pa })?;
+        self.check(pa, len)?;
+        let mut pa = pa;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (pa % PAGE_SIZE) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE as usize - off));
+            let frame = self
+                .frames
+                .entry(pa / PAGE_SIZE)
+                .or_insert_with(|| Arc::new([0; PAGE_SIZE as usize]));
+            Arc::make_mut(frame)[off..off + chunk.len()].copy_from_slice(chunk);
+            pa += chunk.len() as u32;
+            rest = tail;
+        }
+        Ok(())
+    }
+
     /// Number of frames actually allocated (touched) so far.
     pub fn allocated_frames(&self) -> usize {
         self.frames.len()
@@ -286,6 +316,30 @@ mod tests {
         m.write_u8(100, 42).unwrap();
         assert_eq!(m.read_u8(100).unwrap(), 42);
         assert_eq!(m.read_u8(101).unwrap(), 0);
+    }
+
+    #[test]
+    fn write_bytes_matches_byte_writes_across_frames() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(PAGE_SIZE as usize + 40).collect();
+        let pa = 2 * PAGE_SIZE - 17;
+        let mut bulk = PhysicalMemory::new(8);
+        bulk.write_bytes(pa, &bytes).unwrap();
+        let mut bytewise = PhysicalMemory::new(8);
+        for (i, &b) in bytes.iter().enumerate() {
+            bytewise.write_u8(pa + i as u32, b).unwrap();
+        }
+        assert_eq!(bulk, bytewise);
+        assert_eq!(bulk.allocated_frames(), 3, "frames 1, 2 and 3 touched");
+        assert_eq!(bulk.allocated_frames(), bytewise.allocated_frames());
+        assert_eq!(
+            bulk.read_u8(pa + PAGE_SIZE + 39).unwrap(),
+            bytes[PAGE_SIZE as usize + 39]
+        );
+        // A range running off the system map writes nothing.
+        let mut short = PhysicalMemory::new(2);
+        assert!(short.write_bytes(2 * PAGE_SIZE - 4, &[1; 8]).is_err());
+        assert_eq!(short.allocated_frames(), 0);
+        assert!(short.write_bytes(0, &[]).is_ok());
     }
 
     #[test]

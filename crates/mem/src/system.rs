@@ -249,6 +249,21 @@ pub struct MemorySystem {
     probe_cycle: u64,
 }
 
+/// Copies a program segment into physical memory through `aspace`'s
+/// mapping, one virtual page — so one physical frame — at a time.
+fn load_segment(aspace: &AddressSpace, phys: &mut PhysicalMemory, base: u32, bytes: &[u8]) {
+    let mut offset = 0;
+    while offset < bytes.len() {
+        let va = base + offset as u32;
+        let page_rest = (PAGE_SIZE - va % PAGE_SIZE) as usize;
+        let chunk = &bytes[offset..bytes.len().min(offset + page_rest)];
+        let pa = aspace.translate(va).expect("segment page mapped");
+        phys.write_bytes(pa, chunk)
+            .expect("segment inside system map");
+        offset += chunk.len();
+    }
+}
+
 impl fmt::Debug for MemorySystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemorySystem")
@@ -323,20 +338,9 @@ impl MemorySystem {
         );
         aspace.map_segment(STACK_TOP - STACK_SIZE, STACK_SIZE, PagePerms::RW);
         let mut phys = PhysicalMemory::new(config.dram_frames);
-        for (i, word) in program.text.iter().enumerate() {
-            let va = TEXT_BASE + (i * 4) as u32;
-            let pa = aspace.translate(va).expect("text page mapped");
-            for (b, byte) in word.to_le_bytes().iter().enumerate() {
-                phys.write_u8(pa + b as u32, *byte)
-                    .expect("text inside system map");
-            }
-        }
-        for (i, byte) in program.data.iter().enumerate() {
-            let pa = aspace
-                .translate(DATA_BASE + i as u32)
-                .expect("data page mapped");
-            phys.write_u8(pa, *byte).expect("data inside system map");
-        }
+        let text: Vec<u8> = program.text.iter().flat_map(|w| w.to_le_bytes()).collect();
+        load_segment(&aspace, &mut phys, TEXT_BASE, &text);
+        load_segment(&aspace, &mut phys, DATA_BASE, &program.data);
         Self::new(config, aspace.page_table(), phys)
     }
 

@@ -32,16 +32,14 @@
 //! degrades gracefully by *thinning* — dropping every other checkpoint and
 //! doubling the interval until the store fits.
 //!
-//! [`GoldenArtifacts`] bundles the golden run's output/counters with the
-//! recorded store so a sweep can pay the golden-run cost once per
-//! `(core, program)` pair and share the result — `Arc`-wrapped and read-only
-//! — across every campaign targeting that workload.
+//! `mbu-gefin`'s `GoldenArtifacts` bundles the golden run's output and
+//! counters with the recorded store, so a sweep pays the golden-run cost
+//! once per `(core, program)` pair and shares the result across every
+//! campaign targeting that workload.
 
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
-
-use mbu_cpu::{CoreConfig, RunEnd, SimSnapshot, Simulator};
+use mbu_cpu::{CoreConfig, SimSnapshot, Simulator};
 use mbu_isa::Program;
 use mbu_sram::Snapshot;
 
@@ -244,102 +242,6 @@ impl SnapshotStore {
     }
 }
 
-/// Everything a campaign derives from the fault-free execution of one
-/// `(core, program)` pair: the golden output and counters, plus (optionally)
-/// a recorded [`SnapshotStore`] for fast-forward injection.
-///
-/// Building the artifacts costs one golden run (two when a snapshot store is
-/// requested — recording retraces the execution). A sweep that targets the
-/// same workload with many components and fault multiplicities can build the
-/// artifacts **once**, wrap them in an [`Arc`], and hand the same read-only
-/// value to every campaign — collapsing O(components × fault-sizes) golden
-/// runs per workload to O(1). The store inside is already `Arc`-shared, so
-/// cloning the artifacts never copies a checkpoint.
-#[derive(Debug, Clone)]
-pub struct GoldenArtifacts {
-    core: CoreConfig,
-    program: Program,
-    output: Vec<u8>,
-    exit_code: u32,
-    cycles: u64,
-    instructions: u64,
-    snapshots: Option<Arc<SnapshotStore>>,
-    spec: Option<SnapshotSpec>,
-}
-
-impl GoldenArtifacts {
-    /// Runs the fault-free execution of `program` under `core` and captures
-    /// its artifacts. When `spec` is given, also records a snapshot store
-    /// (one extra deterministic retrace of the run).
-    ///
-    /// Returns the run's [`RunEnd`] as the error when the golden run does
-    /// not exit cleanly — the caller decides how to report that (this crate
-    /// does not know about workloads or campaign errors).
-    pub fn build(
-        core: CoreConfig,
-        program: &Program,
-        spec: Option<SnapshotSpec>,
-    ) -> Result<Self, RunEnd> {
-        let r = Simulator::new(core, program).run(u64::MAX / 8);
-        let exit_code = match r.end {
-            RunEnd::Exited { code } => code,
-            end => return Err(end),
-        };
-        let snapshots =
-            spec.map(|s| Arc::new(SnapshotStore::record_golden(core, program, r.cycles, s)));
-        Ok(Self {
-            core,
-            program: program.clone(),
-            output: r.output,
-            exit_code,
-            cycles: r.cycles,
-            instructions: r.instructions,
-            snapshots,
-            spec,
-        })
-    }
-
-    /// The core configuration the golden run executed under.
-    pub fn core(&self) -> &CoreConfig {
-        &self.core
-    }
-
-    /// The program the golden run executed.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The fault-free output bytes.
-    pub fn output(&self) -> &[u8] {
-        &self.output
-    }
-
-    /// The fault-free exit code.
-    pub fn exit_code(&self) -> u32 {
-        self.exit_code
-    }
-
-    /// The fault-free execution time in cycles (`T_ff`).
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Instructions committed by the fault-free run.
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// The recorded snapshot store, if one was requested at build time.
-    pub fn snapshot_store(&self) -> Option<&Arc<SnapshotStore>> {
-        self.snapshots.as_ref()
-    }
-
-    /// The spec the snapshot store was recorded with, if any.
-    pub fn snapshot_spec(&self) -> Option<SnapshotSpec> {
-        self.spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,42 +329,6 @@ mod tests {
         assert!(capped
             .golden_at(capped.next_check_after(0).unwrap())
             .is_some());
-    }
-
-    #[test]
-    fn artifacts_match_a_direct_golden_run() {
-        let core = CoreConfig::cortex_a9_like();
-        let p = Workload::Qsort.program();
-        let (t_ff, full) = golden(core, &p);
-        let spec = SnapshotSpec::default();
-        let a = GoldenArtifacts::build(core, &p, Some(spec)).unwrap();
-        assert_eq!(a.cycles(), t_ff);
-        assert_eq!(a.output(), &full.output[..]);
-        assert_eq!(a.exit_code(), 0);
-        assert_eq!(a.instructions(), full.instructions);
-        assert_eq!(a.program(), &p);
-        assert_eq!(a.snapshot_spec(), Some(spec));
-        let store = a.snapshot_store().expect("spec requested a store");
-        assert_eq!(store.fault_free_cycles(), t_ff);
-        let direct = SnapshotStore::record_golden(core, &p, t_ff, spec);
-        assert_eq!(store.len(), direct.len());
-        assert_eq!(store.interval(), direct.interval());
-        // Cloning the artifacts shares (not copies) the checkpoint store.
-        let b = a.clone();
-        assert!(Arc::ptr_eq(
-            a.snapshot_store().unwrap(),
-            b.snapshot_store().unwrap()
-        ));
-    }
-
-    #[test]
-    fn artifacts_without_spec_skip_the_store() {
-        let core = CoreConfig::cortex_a9_like();
-        let p = Workload::Qsort.program();
-        let a = GoldenArtifacts::build(core, &p, None).unwrap();
-        assert!(a.snapshot_store().is_none());
-        assert!(a.snapshot_spec().is_none());
-        assert!(a.cycles() > 0);
     }
 
     #[test]

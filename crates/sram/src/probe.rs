@@ -2,17 +2,17 @@
 //!
 //! A [`LivenessProbe`] receives the *event stream* of one storage structure
 //! — writes, reads, invalidations — during a fault-free run. From that
-//! stream an observer (the `mbu-ace` crate) reconstructs per-field live
-//! intervals: a bit is *live* (ACE — required for Architecturally Correct
+//! stream an observer (the `mbu-ace` crate) reconstructs per-field
+//! liveness: a bit is *live* (ACE — required for Architecturally Correct
 //! Execution) from a write until its last read before the next overwrite,
 //! and *dead* (un-ACE) everywhere else. Analytical AVF and the campaign
-//! fast-path oracle both derive from these intervals.
+//! fast-path oracle both derive from it.
 //!
 //! Probes are deliberately dumb byte-pushers on the hot path: every hook
 //! takes the current cycle plus a `(row, col, width)` column range in the
 //! structure's *logical* geometry (one row per register / cache line / TLB
-//! entry). Interpretation — field fate-sharing, interval merging — happens
-//! on the observer side. Structures call the hooks only when a probe is
+//! entry). Interpretation — field fate-sharing, which event decides a
+//! bit's fate — happens on the observer side. Structures call the hooks only when a probe is
 //! attached, so an unprobed simulation pays a branch per event at most.
 
 use std::any::Any;

@@ -1,33 +1,48 @@
 //! Differential validation of the liveness-oracle fast path: campaigns with
-//! the oracle enabled must produce *bit-identical* classifications to full
-//! simulation — the oracle may only change wall-clock, never results — and
-//! a provably-dead flipped bit must never change program output.
+//! the oracle on must produce *bit-identical* classifications to campaigns
+//! with it off — the oracle may only change wall-clock, never results — and
+//! a bit the oracle's pass proves dead must never change program output when
+//! flipped.
 
-use mbu_ace::LivenessOracle;
+use mbu_ace::dead_at;
 use mbu_cpu::{CoreConfig, HwComponent, RunEnd, Simulator};
 use mbu_gefin::campaign::{Campaign, CampaignConfig};
+use mbu_gefin::rng::Rng64;
 use mbu_sram::BitCoord;
 use mbu_workloads::Workload;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Seeded sweep over (component × workload × cardinality): with and without
-/// the oracle the counts, per-run details, and anomaly logs are identical,
-/// and across the sweep the oracle skips a nonzero number of runs.
+/// Seeded sweep over (component × workload × cardinality 1–3), all of a
+/// workload's campaigns sharing one golden artifacts as a sweep does: with
+/// the oracle on and off the counts, per-run details and anomaly logs are
+/// identical, and across the sweep the oracle skips a nonzero number of
+/// runs.
 #[test]
 fn oracle_prefilter_is_bit_identical_across_components_and_workloads() {
     let workloads = [Workload::Stringsearch, Workload::Sha, Workload::Qsort];
+    let runs = 6;
     let mut total_skips = 0u64;
     let mut total_runs = 0u64;
-    for component in HwComponent::ALL {
-        for (w, &workload) in workloads.iter().enumerate() {
-            for faults in [1usize, 2] {
-                let base = CampaignConfig::new(workload, component, faults)
-                    .runs(6)
-                    .seed(0xACE0 + w as u64)
-                    .collect_details(true);
-                let plain = Campaign::new(base.clone()).run();
-                let fast = Campaign::new(base.use_liveness_oracle(true)).run();
+    for (w, &workload) in workloads.iter().enumerate() {
+        let config = |component, faults| {
+            CampaignConfig::new(workload, component, faults)
+                .runs(runs)
+                .seed(0xACE0 + w as u64)
+                .collect_details(true)
+        };
+        let artifacts = Campaign::new(config(HwComponent::L1D, 1))
+            .build_artifacts()
+            .expect("golden run");
+        for component in HwComponent::ALL {
+            for faults in 1..=3 {
+                let base = config(component, faults);
+                let plain = Campaign::new(base.clone().use_liveness_oracle(false))
+                    .try_run_range(0..runs, &artifacts)
+                    .expect("reference campaign");
+                let fast = Campaign::new(base.use_liveness_oracle(true))
+                    .try_run_range(0..runs, &artifacts)
+                    .expect("oracle campaign");
                 assert_eq!(
                     plain.counts, fast.counts,
                     "{component}/{workload}/{faults}-bit: counts diverged"
@@ -52,7 +67,8 @@ fn oracle_prefilter_is_bit_identical_across_components_and_workloads() {
 
 struct DeadBitFixture {
     core: CoreConfig,
-    oracle: LivenessOracle,
+    /// Random L2 (cycle, bit) queries that one `dead_at` pass proved dead.
+    dead: Vec<(u64, BitCoord)>,
     golden_output: Vec<u8>,
     golden_cycles: u64,
 }
@@ -62,12 +78,27 @@ fn fixture() -> &'static DeadBitFixture {
     FIX.get_or_init(|| {
         let core = CoreConfig::cortex_a9_like();
         let program = Workload::Stringsearch.program();
-        let oracle = LivenessOracle::build(core, &program, HwComponent::L2).expect("oracle");
         let golden = Simulator::new(core, &program).run(u64::MAX / 8);
         assert!(matches!(golden.end, RunEnd::Exited { code: 0 }));
+        let g = core.component_geometry(HwComponent::L2);
+        let mut rng = Rng64::seed_from_u64(0xDEAD_B175);
+        let queries: Vec<(u64, BitCoord)> = (0..512)
+            .map(|_| {
+                let at = rng.gen_range(0..golden.cycles);
+                let coord = BitCoord::new(rng.gen_range(0..g.rows()), rng.gen_range(0..g.cols()));
+                (at, coord)
+            })
+            .collect();
+        let verdicts = dead_at(core, &program, HwComponent::L2, &queries).expect("fault-free pass");
+        let dead: Vec<(u64, BitCoord)> = queries
+            .into_iter()
+            .zip(verdicts)
+            .filter_map(|(query, dead)| dead.then_some(query))
+            .collect();
+        assert!(!dead.is_empty(), "no random L2 bit is provably dead");
         DeadBitFixture {
             core,
-            oracle,
+            dead,
             golden_output: golden.output,
             golden_cycles: golden.cycles,
         }
@@ -77,21 +108,14 @@ fn fixture() -> &'static DeadBitFixture {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any bit the oracle calls dead at a random injection cycle really is
+    /// Any bit `dead_at` calls dead at a random injection cycle really is
     /// masked: flipping it leaves output, exit code, and cycle count of the
     /// simulated run bit-identical to the golden run.
     #[test]
-    fn provably_dead_flips_never_change_output(
-        row_sel in any::<prop::sample::Index>(),
-        col_sel in any::<prop::sample::Index>(),
-        cycle_sel in any::<prop::sample::Index>()
-    ) {
+    fn provably_dead_flips_never_change_output(pick in any::<prop::sample::Index>()) {
         let fix = fixture();
+        let (at, coord) = fix.dead[pick.index(fix.dead.len())];
         let program = Workload::Stringsearch.program();
-        let g = Simulator::new(fix.core, &program).component_geometry(HwComponent::L2);
-        let coord = BitCoord::new(row_sel.index(g.rows()), col_sel.index(g.cols()));
-        let at = cycle_sel.index(fix.golden_cycles as usize) as u64;
-        prop_assume!(fix.oracle.provably_masked(&[coord], at));
         let mut sim = Simulator::new(fix.core, &program);
         prop_assert!(sim.run_until_cycle(at).is_none());
         sim.inject_flips(HwComponent::L2, &[coord]);
