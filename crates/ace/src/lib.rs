@@ -38,5 +38,5 @@ pub use capture::{
     capture, capture_component_segments, AceStructure, CaptureError, LivenessMap, OccupancyPoint,
     OccupancyProbe, OccupancyStats,
 };
-pub use oracle::{dead_at, LivenessOracle};
+pub use oracle::{dead_at, interleave_of};
 pub use residency::{FieldMap, ResidencyRecorder, SegmentEvent, SegmentKind, StructureResidency};

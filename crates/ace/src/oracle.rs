@@ -1,8 +1,8 @@
 //! Provably-masked injection pruning from fault-free liveness.
 //!
-//! [`dead_at`] answers one question for the campaign driver, for a whole
-//! batch of injections in one fault-free run: *is this bit dead at this
-//! injection cycle?* A fault is provably masked when every flipped bit is
+//! [`dead_at`] is the crate's one oracle. It answers one question for the
+//! campaign driver, for a whole batch of injections in one fault-free run:
+//! *is this bit dead at this injection cycle?* A fault is provably masked when every flipped bit is
 //! dead — per the fault-free trace, fully overwritten before any read —
 //! because then the injected run is cycle-for-cycle identical to the golden
 //! run:
@@ -19,20 +19,18 @@
 //! reports "possibly live" and the campaign falls through to full
 //! simulation, so classifications are bit-identical with the oracle on or
 //! off — only the wall-clock changes.
-//!
-//! [`LivenessOracle`] records the same kind of run with every access-event
-//! boundary kept, the fault-equivalence segmentation the exhaustive engine
-//! partitions.
 
-use crate::capture::{capture_component_segments, observe, AceStructure, CaptureError};
-use crate::residency::{DeadAtProbe, FieldMap, StructureResidency};
+use crate::capture::{observe, AceStructure, CaptureError};
+use crate::residency::{DeadAtProbe, FieldMap};
 use mbu_cpu::{CoreConfig, HwComponent};
 use mbu_isa::program::Program;
 use mbu_sram::BitCoord;
 
-/// Physical column interleaving of `component`'s bit array (caches); 1 for
-/// structures whose physical and logical geometries coincide.
-fn interleave_of(core: &CoreConfig, component: HwComponent) -> usize {
+/// Physical column interleaving `I` of `component`'s bit array (caches); 1
+/// for structures whose physical and logical geometries coincide. The
+/// injector flips logical `(row, bit)` at physical `(row / I, bit·I +
+/// row % I)`; [`dead_at`] and the exhaustive plans both map through it.
+pub fn interleave_of(core: &CoreConfig, component: HwComponent) -> usize {
     let interleave = match component {
         HwComponent::L1D => core.mem.l1d.interleave as usize,
         HwComponent::L1I => core.mem.l1i.interleave as usize,
@@ -109,64 +107,6 @@ pub fn dead_at(
         window_probe(rows, map, interleave, queries)
     })?;
     Ok(probe.finish(total_cycles))
-}
-
-/// Fault-free residency of one component's data array with every
-/// access-event boundary recorded: the exact fault-equivalence
-/// segmentation of its (bit, cycle) fault space.
-#[derive(Debug, Clone)]
-pub struct LivenessOracle {
-    component: HwComponent,
-    residency: StructureResidency,
-    interleave: usize,
-    total_cycles: u64,
-}
-
-impl LivenessOracle {
-    /// Captures a fault-free run of `program` with access-event boundaries
-    /// recorded, so [`LivenessOracle::residency`] exposes the exact
-    /// fault-equivalence segmentation (`StructureResidency::slot_events`).
-    ///
-    /// # Errors
-    ///
-    /// [`CaptureError::RunFailed`] if the observation run does not exit
-    /// cleanly.
-    pub fn build_with_segments(
-        core: CoreConfig,
-        program: &Program,
-        component: HwComponent,
-    ) -> Result<Self, CaptureError> {
-        let (residency, total_cycles) = capture_component_segments(core, program, component)?;
-        Ok(Self {
-            component,
-            residency,
-            interleave: interleave_of(&core, component),
-            total_cycles,
-        })
-    }
-
-    /// The component this oracle describes.
-    pub fn component(&self) -> HwComponent {
-        self.component
-    }
-
-    /// Physical column interleaving of the component's bit array — the
-    /// forward map from the logical `(row, bit)` coordinates the residency
-    /// (and `mbu-equiv` partitions) use to the physical [`BitCoord`]s the
-    /// injector flips is `phys.row = row / I`, `phys.col = bit·I + row % I`.
-    pub fn interleave(&self) -> usize {
-        self.interleave
-    }
-
-    /// Cycles of the observed fault-free run.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
-    /// The underlying residency record.
-    pub fn residency(&self) -> &StructureResidency {
-        &self.residency
-    }
 }
 
 #[cfg(test)]

@@ -37,12 +37,14 @@ use crate::classify::{ClassCounts, FaultEffect};
 use crate::error::CampaignError;
 use crate::golden::GoldenArtifacts;
 use crate::stats;
-use mbu_ace::LivenessOracle;
+use mbu_ace::{capture_component_segments, interleave_of};
 use mbu_equiv::{physical_coord, CoverageReport, FaultClass, LiveIndex, Partition};
 use std::collections::HashMap;
 
 /// Default cap on live (must-simulate) classes — past this an exhaustive
 /// campaign is refused as intractable ([`CampaignError::ClassCapExceeded`]).
+/// Each live class costs one simulation, so the cap bounds run time; the
+/// plan's own memory scales with access events, not live classes.
 pub const DEFAULT_MAX_CLASSES: u64 = 4_000_000;
 
 /// Knobs of the equivalence-class engine, on top of a [`CampaignConfig`].
@@ -207,20 +209,13 @@ impl ExhaustivePlan {
         }
         let campaign = Campaign::try_new(config)?;
         let cfg = campaign.config();
-        let oracle = LivenessOracle::build_with_segments(
-            cfg.core,
-            cfg.workload.shared_program(),
-            cfg.component,
-        )
-        .map_err(|e| CampaignError::PartitionFailed {
-            reason: format!("segment capture failed: {e}"),
-        })?;
-        let interleave = oracle.interleave();
-        let partition = Partition::from_residency(oracle.residency()).map_err(|e| {
-            CampaignError::PartitionFailed {
-                reason: e.to_string(),
-            }
-        })?;
+        let partition =
+            capture_component_segments(cfg.core, cfg.workload.shared_program(), cfg.component)
+                .map_err(|e| format!("segment capture failed: {e}"))
+                .and_then(|(residency, _)| {
+                    Partition::from_residency(&residency).map_err(|e| e.to_string())
+                })
+                .map_err(|reason| CampaignError::PartitionFailed { reason })?;
         let coverage = partition.coverage();
         if !coverage.exact() {
             return Err(CampaignError::PartitionFailed {
@@ -236,6 +231,7 @@ impl ExhaustivePlan {
                 cap: spec.max_classes,
             });
         }
+        let interleave = interleave_of(&cfg.core, cfg.component);
         let live = partition.live_index();
         Ok(Self {
             campaign,
@@ -274,9 +270,10 @@ impl ExhaustivePlan {
     ///
     /// Panics when `index ≥ live_classes()`.
     pub fn live_class(&self, index: usize) -> FaultClass {
-        self.partition
-            .class(self.live.ids()[index])
-            .expect("live index holds valid ids")
+        self.live
+            .id(index)
+            .and_then(|id| self.partition.class(id))
+            .expect("live position within the plan")
     }
 
     /// The member cycle the plan injects for `class`: the representative
@@ -458,11 +455,10 @@ impl ExhaustivePlan {
         let mut seen: Vec<u64> = outcomes.iter().map(|o| o.class_id).collect();
         seen.sort_unstable();
         seen.dedup();
-        if seen.len() != outcomes.len() || seen != self.live.ids() {
+        if seen.len() != outcomes.len() || !seen.iter().copied().eq(self.live.ids()) {
             let missing = self
                 .live
                 .ids()
-                .iter()
                 .filter(|id| seen.binary_search(id).is_err())
                 .count() as u64
                 + (outcomes.len() - seen.len()) as u64;
@@ -730,6 +726,45 @@ mod tests {
         assert!(matches!(
             plan.run_class_range(n..n + 1, None),
             Err(CampaignError::InvalidClassRange { .. })
+        ));
+    }
+
+    #[test]
+    fn live_positions_follow_the_partition_and_finalize_takes_each_class_once() {
+        // No simulation: the plan's dense live order against the
+        // partition's own walk, then `finalize` over synthetic outcomes.
+        let plan =
+            ExhaustivePlan::try_new(config(HwComponent::DTlb), ExhaustiveSpec::default()).unwrap();
+        let n = plan.live_classes();
+        assert!(n >= 2);
+        let mut walked = 0;
+        for (i, class) in plan.partition().live_classes().enumerate() {
+            assert_eq!(plan.live_class(i), class, "live position {i}");
+            walked += 1;
+        }
+        assert_eq!(walked, n);
+        let cover: Vec<ClassOutcome> = plan
+            .partition()
+            .live_classes()
+            .map(|c| ClassOutcome {
+                class_id: c.id,
+                inject_cycle: c.start,
+                weight: c.weight(),
+                effect: FaultEffect::Masked,
+                cycles: 0,
+            })
+            .collect();
+        let result = plan.finalize(&cover, 0).expect("every live class once");
+        assert_eq!(result.simulated, n as u64);
+        assert_eq!(result.campaign.counts.masked, plan.coverage().population);
+        let reversed: Vec<ClassOutcome> = cover.iter().rev().copied().collect();
+        assert!(plan.finalize(&reversed, 0).is_ok(), "any order covers");
+        // Same length, one class twice and its neighbour missing.
+        let mut duplicated = cover;
+        duplicated[n / 2] = duplicated[n / 2 - 1];
+        assert!(matches!(
+            plan.finalize(&duplicated, 0),
+            Err(CampaignError::IncompleteClassCover { .. })
         ));
     }
 

@@ -22,7 +22,9 @@
 //! Consumers: the exhaustive campaign mode in `mbu-gefin` simulates one
 //! representative per live class and weight-multiplies the outcome
 //! (provable 100% coverage, margin 0), and the class-weighted stratified
-//! sampler draws proportionally to live-interval mass via [`LiveIndex`].
+//! sampler draws proportionally to live-interval mass. Both reach the live
+//! classes through [`LiveIndex`]: its dense order is the exhaustive unit
+//! space, its weight tickets the sampler's draws.
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +38,7 @@ use std::ops::Range;
 pub enum PartitionError {
     /// The residency was captured without segment boundaries
     /// (use `ResidencyRecorder::with_segments` /
-    /// `LivenessOracle::build_with_segments`).
+    /// `mbu_ace::capture_component_segments`).
     NoSegments,
     /// The recorded run spans zero cycles — the fault space is empty.
     ZeroCycles,
@@ -414,18 +416,52 @@ impl Partition {
         }
     }
 
-    /// Builds the live-mass prefix-sum index for weight-proportional
-    /// class selection (the stratified sampler's draw table).
+    /// Builds the dense live order and its weight index: the exhaustive
+    /// plan's unit space and the stratified sampler's draw table. One pass
+    /// over the segment lists; the index holds one entry per slot with a
+    /// live segment and one per live segment, never one per live class.
     pub fn live_index(&self) -> LiveIndex {
-        let mut ids = Vec::new();
-        let mut cum = Vec::new();
-        let mut total = 0u64;
-        for c in self.live_classes() {
-            total += c.weight();
-            ids.push(c.id);
-            cum.push(total);
+        let mut index = LiveIndex {
+            slots: Vec::new(),
+            seg: Vec::new(),
+            cum: Vec::new(),
+        };
+        let (mut pos, mut ticket) = (0u64, 0u64);
+        for (s, slot) in self.slots.iter().enumerate() {
+            let first = index.seg.len();
+            let mut bit_weight = 0u64;
+            for (j, seg) in slot.segments.iter().enumerate() {
+                if !seg.kind.is_dead() {
+                    bit_weight += seg.end - seg.start + 1;
+                    index
+                        .seg
+                        .push(u32::try_from(j).expect("a slot holds fewer than 2^32 segments"));
+                    index.cum.push(bit_weight);
+                }
+            }
+            let live = (index.seg.len() - first) as u64;
+            if live == 0 {
+                continue;
+            }
+            index.slots.push(LiveSlot {
+                pos,
+                ticket,
+                class_base: self.class_base[s],
+                segments: slot.segments.len() as u64,
+                first,
+            });
+            let bits = slot.field.len() as u64;
+            pos += bits * live;
+            ticket += bits * bit_weight;
         }
-        LiveIndex { ids, cum }
+        index.slots.push(LiveSlot {
+            pos,
+            ticket,
+            class_base: self.class_count(),
+            segments: 0,
+            first: index.seg.len(),
+        });
+        index
     }
 }
 
@@ -467,71 +503,154 @@ fn compile_segments(events: &[SegmentEvent], total_cycles: u64) -> Vec<Segment> 
     segs
 }
 
-/// Prefix-sum index over a partition's live classes, for O(log n)
-/// weight-proportional selection.
+/// One slot's run of the dense live order: its field's bits one after
+/// another, each visiting the slot's live segments in order.
+#[derive(Debug, Clone, Copy)]
+struct LiveSlot {
+    /// Dense position of the run's first class.
+    pos: u64,
+    /// First weight ticket of the run.
+    ticket: u64,
+    /// Class id of the slot's bit 0, segment 0.
+    class_base: u64,
+    /// Segments per bit of the slot: the id stride from one bit to the next.
+    segments: u64,
+    /// Start of the slot's live segments in [`LiveIndex`]'s flat vectors.
+    first: usize,
+}
+
+/// The dense order of a partition's live classes — slot-major, bit-major,
+/// live segments in order, so ids ascend — with its weight prefix sums.
+///
+/// Every bit of a field shares its slot's segment list, so the index keeps
+/// one entry per slot with a live segment and one per live segment, not one
+/// per live class: its size and build time scale with access events. Each
+/// lookup is a binary search over the slots plus, for [`LiveIndex::pick`],
+/// one within the slot's live segments.
 #[derive(Debug, Clone)]
 pub struct LiveIndex {
-    ids: Vec<u64>,
-    /// `cum[i]` = summed weight of live classes `0..=i`.
+    /// Slots with a live segment, in slot order, then a closing entry whose
+    /// `pos` and `ticket` are the totals and whose `first` is `seg.len()`.
+    slots: Vec<LiveSlot>,
+    /// Each live segment's index in its slot's segment list.
+    seg: Vec<u32>,
+    /// `cum[k]`: one bit's summed weight of its slot's live segments up to
+    /// and including live segment `k`.
     cum: Vec<u64>,
 }
 
 impl LiveIndex {
     /// Number of live classes.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.totals().pos as usize
     }
 
     /// Whether there are no live classes.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
     }
 
     /// Summed weight of all live classes.
     pub fn total_weight(&self) -> u64 {
-        *self.cum.last().unwrap_or(&0)
+        self.totals().ticket
+    }
+
+    /// The class id at position `i` of the dense live order, or `None`
+    /// past the end — one binary search over the slots.
+    pub fn id(&self, i: usize) -> Option<u64> {
+        if i >= self.len() {
+            return None;
+        }
+        let s = self.slot_of(i as u64);
+        let live = self.live_of(s).len() as u64;
+        let local = i as u64 - self.slots[s].pos;
+        Some(self.class_id(s, local / live, (local % live) as usize))
     }
 
     /// The live class id owning weight-ticket `ticket ∈
     /// [0, total_weight)`; classes win tickets proportionally to weight.
+    /// Two binary searches: the slot, then the live segment within one bit.
     pub fn pick(&self, ticket: u64) -> Option<u64> {
         if ticket >= self.total_weight() {
             return None;
         }
-        let i = self.cum.partition_point(|&c| c <= ticket);
-        Some(self.ids[i])
+        let s = self.slots.partition_point(|e| e.ticket <= ticket) - 1;
+        let cum = self.live_of(s);
+        let bit_weight = cum[cum.len() - 1];
+        let local = ticket - self.slots[s].ticket;
+        let j = cum.partition_point(|&c| c <= local % bit_weight);
+        Some(self.class_id(s, local / bit_weight, j))
     }
 
-    /// The live class ids in dense order.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
+    /// The live class ids in dense (ascending) order.
+    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.slots.len() - 1).flat_map(move |s| {
+            let live = self.live_of(s).len();
+            let bits = (self.slots[s + 1].pos - self.slots[s].pos) / live as u64;
+            (0..bits).flat_map(move |bit| (0..live).map(move |j| self.class_id(s, bit, j)))
+        })
     }
 
-    /// Summed weight of the dense live-index range `range` — O(1) from
-    /// the cumulative prefix sums. This is the population mass one
+    /// Summed weight of the dense live-index range `range` — one binary
+    /// search over the slots per end. This is the population mass one
     /// class-range work unit of a distributed exhaustive sweep covers,
     /// letting a planner budget units by weight without walking classes.
     ///
     /// # Panics
     ///
     /// Panics if `range.end > len()` (as slice indexing would).
-    pub fn range_weight(&self, range: std::ops::Range<usize>) -> u64 {
-        assert!(range.end <= self.ids.len(), "range beyond live index");
+    pub fn range_weight(&self, range: Range<usize>) -> u64 {
+        assert!(range.end <= self.len(), "range beyond live index");
         if range.start >= range.end {
             return 0;
         }
-        let below = if range.start == 0 {
-            0
-        } else {
-            self.cum[range.start - 1]
+        self.weight_before(range.end as u64) - self.weight_before(range.start as u64)
+    }
+
+    /// Summed weight of dense positions `0..i`, for `i ≤ len()`.
+    fn weight_before(&self, i: u64) -> u64 {
+        let s = self.slot_of(i);
+        let slot = self.slots[s];
+        if s + 1 == self.slots.len() {
+            return slot.ticket;
+        }
+        let cum = self.live_of(s);
+        let live = cum.len() as u64;
+        let local = i - slot.pos;
+        let below = match (local % live) as usize {
+            0 => 0,
+            j => cum[j - 1],
         };
-        self.cum[range.end - 1] - below
+        slot.ticket + local / live * cum[cum.len() - 1] + below
+    }
+
+    /// The entry whose run holds dense position `i` (the closing entry
+    /// for `i == len()`).
+    fn slot_of(&self, i: u64) -> usize {
+        self.slots.partition_point(|e| e.pos <= i) - 1
+    }
+
+    /// Slot entry `s`'s per-bit cumulative live weights.
+    fn live_of(&self, s: usize) -> &[u64] {
+        &self.cum[self.slots[s].first..self.slots[s + 1].first]
+    }
+
+    /// The id of slot entry `s`'s `j`-th live segment on bit `bit`.
+    fn class_id(&self, s: usize, bit: u64, j: usize) -> u64 {
+        let slot = &self.slots[s];
+        slot.class_base + bit * slot.segments + u64::from(self.seg[slot.first + j])
+    }
+
+    fn totals(&self) -> &LiveSlot {
+        self.slots
+            .last()
+            .expect("the closing entry is always present")
     }
 }
 
 /// Forward map from a partition's logical `(row, col)` to the physical
 /// [`BitCoord`] the injector flips, under a column interleave factor `I`
-/// (`LivenessOracle::interleave`): `phys.row = row / I`,
+/// (`mbu_ace::interleave_of`): `phys.row = row / I`,
 /// `phys.col = col·I + row mod I`. With `I == 1` (register file, TLBs)
 /// the coordinates coincide.
 pub fn physical_coord(row: usize, col: usize, interleave: usize) -> BitCoord {

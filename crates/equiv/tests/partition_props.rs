@@ -1,11 +1,13 @@
 //! Property tests: for *arbitrary* probe event streams the compiled
 //! partition is exact — disjoint, total, weights reconciling to the
-//! population — and class lookup / representative picking are coherent.
+//! population — class lookup / representative picking are coherent, and
+//! the per-slot live index answers exactly as a per-class table would.
 
 use mbu_ace::{FieldMap, ResidencyRecorder};
 use mbu_equiv::Partition;
 use mbu_sram::LivenessProbe;
 use proptest::prelude::*;
+use proptest::sample::Index;
 
 const ROWS: usize = 3;
 const COLS: usize = 12;
@@ -28,8 +30,14 @@ fn event_strategy() -> impl Strategy<Value = Vec<(u64, u8, usize, usize, usize)>
 }
 
 fn build(events: &[(u64, u8, usize, usize, usize)]) -> Partition {
+    build_rows(ROWS, events)
+}
+
+/// The partition of `rows` rows of three fields each; events address rows
+/// `0..=ROWS` only, so any row past that stays idle.
+fn build_rows(rows: usize, events: &[(u64, u8, usize, usize, usize)]) -> Partition {
     let mut rec =
-        ResidencyRecorder::with_segments(ROWS, FieldMap::Ranges(vec![0..5, 5..11, 11..12]));
+        ResidencyRecorder::with_segments(rows, FieldMap::Ranges(vec![0..5, 5..11, 11..12]));
     // Feed in cycle order, as a monotonic simulator would.
     let mut sorted = events.to_vec();
     sorted.sort_by_key(|e| e.0);
@@ -41,6 +49,19 @@ fn build(events: &[(u64, u8, usize, usize, usize)]) -> Partition {
         }
     }
     Partition::from_residency(&rec.finish(CYCLES)).expect("segments recorded, cycles > 0")
+}
+
+/// The live index as a per-class table: every live class's id and the
+/// summed weight of the live classes up to and including it, in dense order.
+fn per_class_index(p: &Partition) -> (Vec<u64>, Vec<u64>) {
+    let mut total = 0;
+    p.classes()
+        .filter(|c| !c.kind.is_dead())
+        .map(|c| {
+            total += c.weight();
+            (c.id, total)
+        })
+        .unzip()
 }
 
 proptest! {
@@ -129,6 +150,38 @@ proptest! {
                 prop_assert!(!c.kind.is_dead());
             }
             prop_assert_eq!(idx.pick(idx.total_weight()), None);
+        }
+    }
+
+    #[test]
+    fn live_index_matches_a_per_class_table(
+        events in event_strategy(),
+        cuts in proptest::collection::vec((any::<Index>(), any::<Index>()), 1..8),
+    ) {
+        // Row ROWS + 1 receives no event: its three slots have no live
+        // segment and must contribute no position and no ticket.
+        let p = build_rows(ROWS + 2, &events);
+        let (ids, cum) = per_class_index(&p);
+        let idx = p.live_index();
+        prop_assert_eq!(idx.len(), ids.len());
+        prop_assert_eq!(idx.total_weight(), cum.last().copied().unwrap_or(0));
+        prop_assert!(idx.ids().eq(ids.iter().copied()));
+        for (i, &id) in ids.iter().enumerate() {
+            prop_assert_eq!(idx.id(i), Some(id));
+            prop_assert!(p.class(id).expect("valid id").row <= ROWS);
+        }
+        prop_assert_eq!(idx.id(ids.len()), None);
+        // Both sides of every class boundary: a class's last ticket and the
+        // next class's first.
+        for (i, &c) in cum.iter().enumerate() {
+            prop_assert_eq!(idx.pick(c - 1), Some(ids[i]));
+            prop_assert_eq!(idx.pick(c), ids.get(i + 1).copied());
+        }
+        let below = |k: usize| if k == 0 { 0 } else { cum[k - 1] };
+        for (a, b) in cuts {
+            let (a, b) = (a.index(ids.len() + 1), b.index(ids.len() + 1));
+            let (start, end) = (a.min(b), a.max(b));
+            prop_assert_eq!(idx.range_weight(start..end), below(end) - below(start));
         }
     }
 }
